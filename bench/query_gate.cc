@@ -1,4 +1,4 @@
-// query_gate: CI reconciliation check for the trace store + prr_query
+// query_gate: CI reconciliation check for the trace store + obs/query
 // analytics layer (DESIGN.md §14). The store is *derived* state — every
 // connection's flight-recorder ring, persisted columnar — so everything
 // mined from it must agree bit-exactly with the in-process ground truth:

@@ -48,6 +48,7 @@
 
 #include "exp/service.h"
 #include "exp/service_timeline.h"
+#include "obs/store/store_writer.h"
 #include "util/artifacts.h"
 #include "workload/web_workload.h"
 
@@ -210,18 +211,25 @@ int main(int argc, char** argv) {
                 d.primary.mean);
   }
   std::printf("alerts: %llu", (unsigned long long)res.alerts_total);
+  // Each alert's triage recipe: re-sweep the quarantined window under the
+  // recorded regime into a store, then read its episode table.
   for (const exp::AlertRecord& a : res.alerts) {
+    const std::string prefix =
+        out_dir + "/alert_w" + std::to_string(a.window);
     std::printf("\n  window %-5llu %-10s %-11s value=%.4g baseline=%.4g "
                 "stat=%.1f>h=%.1f  quarantined ids [%llu,%llu) -> "
-                "prr_inspect episodes --arm \"%s\" --connections %llu "
-                "--first %llu --seed %llu --loss-scale %g",
+                "prr sweep --arm \"%s\" --connections %llu --first %llu "
+                "--seed %llu --loss-scale %g --rtt-scale %g "
+                "--bandwidth-scale %g --out %s && prr episodes %s",
                 (unsigned long long)a.window, a.arm_name.c_str(),
                 to_string(a.series), a.value, a.baseline, a.stat,
                 a.threshold, (unsigned long long)a.first_connection,
                 (unsigned long long)(a.first_connection + a.connections),
                 a.arm_name.c_str(), (unsigned long long)a.connections,
                 (unsigned long long)a.first_connection,
-                (unsigned long long)a.seed, a.loss_scale);
+                (unsigned long long)a.seed, a.loss_scale, a.rtt_scale,
+                a.bandwidth_scale, prefix.c_str(),
+                obs::store_path_for_arm(prefix, a.arm_name).c_str());
   }
   std::printf("\n");
 

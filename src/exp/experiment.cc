@@ -576,6 +576,10 @@ void run_connection_range(const workload::Population& pop,
     result.invariant_violations += rec.violations.size();
     result.quarantined.push_back(std::move(rec));
   }
+  // The pooled arena outlives this range's ring; a timer the last
+  // connection left armed would otherwise trace its cancel into the dead
+  // ring when the arena is reset or destroyed.
+  if (arena && arena->conn) arena->conn->sender().set_recorder(nullptr, 0);
 }
 
 int resolve_threads(const RunOptions& opts) {

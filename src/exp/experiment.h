@@ -364,9 +364,10 @@ class Experiment {
 };
 
 // One connection's full forensic capture: the (ring-capped) record
-// stream plus its episodes with per-ACK ledgers. The input to
-// examples/prr_inspect's single-connection views and the cross-arm diff
-// (obs/trace_diff.h) — run the same id under two arms and compare.
+// stream plus its episodes with per-ACK ledgers: the live reference the
+// store tests compare persisted connections against, and the input to
+// `prr replay`'s cross-arm diff (obs/trace_diff.h) — run the same id
+// under two arms and compare.
 struct TracedConnection {
   std::vector<obs::TraceRecord> records;
   std::vector<obs::RecoveryEpisode> episodes;

@@ -18,7 +18,7 @@
 //    the per-window series (mean response latency, retransmission rate,
 //    cwnd after recovery), firing structured AlertRecords and
 //    auto-quarantining the triggering window's connection-id range for
-//    prr_inspect triage;
+//    `prr sweep` + `prr episodes` triage;
 //  - a service flight recorder: every alert and decision is also a
 //    TraceRecord (kServiceAlert / kServiceDecision) in a control-plane
 //    ring, exported to the Perfetto timeline by
@@ -190,10 +190,10 @@ struct DecisionRecord {
   std::string to_json() const;
 };
 
-// One drift-detector alarm, carrying everything prr_inspect needs to
+// One drift-detector alarm, carrying everything `prr sweep` needs to
 // replay the quarantined window: the id range is [first_connection,
 // first_connection + connections) under `seed`, with the recorded
-// regime scales applied (prr_inspect --loss-scale/--rtt-scale/...).
+// regime scales applied (prr sweep --loss-scale/--rtt-scale/...).
 struct AlertRecord {
   uint64_t window = 0;
   double t_s = 0;

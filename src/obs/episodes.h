@@ -132,7 +132,7 @@ struct RecoveryEpisode {
 };
 
 // Multi-line human-readable dump (episode header, ledger lines, exit and
-// post-recovery trajectory) for examples/prr_inspect and quarantine
+// post-recovery trajectory) for `prr episodes --conn` and quarantine
 // forensics.
 std::string describe(const RecoveryEpisode& e);
 // One-line form of just the summary row.
@@ -232,7 +232,7 @@ class EpisodeTable {
 
   // {"episodes":N,...,"histograms":{...p50/p95/p99...}} — byte-stable.
   std::string to_json() const;
-  // Human-readable per-arm summary block for examples/prr_inspect.
+  // Human-readable per-arm summary block for `prr episodes`.
   std::string summary_string() const;
 
  private:

@@ -1,5 +1,6 @@
 // Offline analytics over trace-store files (DESIGN.md §14.4): the library
-// behind the `prr_query` CLI. Four layers, all operating on a StoreReader:
+// behind the `prr` CLI's store views. Four layers, all operating on a
+// StoreReader:
 //
 //   * filter / group-by / aggregate / time-bucket over raw TraceRecords
 //     (run_aggregate): count/sum/min/max/mean of any record field, grouped

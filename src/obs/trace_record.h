@@ -133,7 +133,7 @@ inline TraceRecord make_record(sim::Time at, uint32_t conn, TraceType type,
 }
 
 // Human-readable one-liner ("12.345ms conn 7 ack cwnd=14608 pipe=...").
-// For terminal forensics (examples/replay_quarantine); the machine form
+// For terminal forensics (`prr records`, `prr replay`); the machine form
 // is the Perfetto export (obs/perfetto.h).
 std::string describe(const TraceRecord& r);
 

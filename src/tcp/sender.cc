@@ -66,6 +66,10 @@ void Sender::reset(SenderConfig config, Metrics* metrics,
   prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
   scoreboard_.reset(0, config.mss);
   rto_est_ = RtoEstimator(config.rto);
+  // Detach the recorder first: stopping a timer the previous connection
+  // left armed traces a timer_cancel, which must not land in whatever
+  // ring the next connection records into.
+  set_recorder(nullptr, 0);
   // All timer EventIds are stale after Simulator::reset; stop() clears
   // them without touching the (recycled) event queue.
   rto_timer_.stop();
@@ -83,7 +87,6 @@ void Sender::reset(SenderConfig config, Metrics* metrics,
   on_abort_hook = nullptr;
   on_rto_hook = nullptr;
   on_ack_cost_hook = nullptr;
-  set_recorder(nullptr, 0);
   reset_core_state();
 }
 

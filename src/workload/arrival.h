@@ -78,7 +78,7 @@ struct RegimeSchedule {
 // parallel) window run — workers only read it, and every arm sees the
 // identical scaled sample (the regime is arm-independent, so CRN
 // pairing is preserved). For quarantine triage the same scaling is
-// reproducible from the alert's recorded scale factors (prr_inspect
+// reproducible from the alert's recorded scale factors (prr sweep
 // --loss-scale).
 class RegimePopulation final : public Population {
  public:
@@ -93,7 +93,7 @@ class RegimePopulation final : public Population {
   ConnectionSample sample(sim::Rng rng) const override;
   void sample_into(sim::Rng rng, ConnectionSample& out) const override;
 
-  // The scaling applied to one drawn sample — shared with prr_inspect's
+  // The scaling applied to one drawn sample — shared with `prr sweep`'s
   // triage path so a quarantined window replays bit-exactly.
   static void apply(const RegimeShift& regime, ConnectionSample& s);
 

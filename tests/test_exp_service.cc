@@ -146,7 +146,7 @@ TEST(ExperimentService, DriftAlertQuarantinesInjectedShiftWindow) {
   ASSERT_GE(res.alerts_total, 1u);
   ASSERT_FALSE(res.alerts.empty());
   for (const exp::AlertRecord& a : res.alerts) {
-    // Everything prr_inspect needs to replay the quarantined window.
+    // Everything `prr sweep` needs to replay the quarantined window.
     EXPECT_EQ(a.seed, cfg.seed);
     EXPECT_GT(a.connections, 0u);
     EXPECT_LE(a.first_connection + a.connections, res.admitted);

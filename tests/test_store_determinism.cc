@@ -8,9 +8,13 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "exp/experiment.h"
+#include "obs/flight_recorder.h"
 #include "obs/store/store_format.h"
+#include "obs/store/store_reader.h"
+#include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
 namespace prr {
@@ -36,10 +40,11 @@ exp::RunOptions base_opts() {
 
 // Runs the arm with `opts` and returns the produced store file's bytes
 // (deleting the file).
-std::string store_bytes(exp::RunOptions opts, const std::string& name) {
+std::string store_bytes(
+    exp::RunOptions opts, const std::string& name,
+    const workload::Population& pop = workload::WebWorkload{}) {
   opts.store_path = temp_path(name);
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
-  workload::WebWorkload pop;
   exp::run_arm(pop, arm, opts);
   const std::string path = obs::store_path_for_arm(opts.store_path, arm.name);
   std::string bytes = slurp(path);
@@ -96,6 +101,79 @@ TEST(StoreDeterminism, StoreCaptureDoesNotPerturbAggregates) {
   EXPECT_EQ(r_off.total_workload_bytes, r_on.total_workload_bytes);
   const std::string path = obs::store_path_for_arm(on.store_path, arm.name);
   std::remove(path.c_str());
+}
+
+// A pooled connection's predecessor can end with a sender timer still
+// armed. Resetting the sender must not cancel that timer into the next
+// connection's ring: which connection precedes which depends on how the
+// sweep is chunked, so such a record made stores thread-dependent. Long
+// lossy video connections end with timers armed often enough to show it.
+TEST(StoreDeterminism, PooledTimersDoNotLeakIntoNextConnection) {
+  workload::VideoWorkload pop;
+  exp::RunOptions opts;
+  opts.connections = 48;
+  opts.seed = 1;
+  opts.capture = "all";
+  opts.threads = 1;
+  const std::string serial = store_bytes(opts, "video_t1.prrstore", pop);
+  ASSERT_FALSE(serial.empty());
+  for (int threads : {2, 4, 8}) {
+    opts.threads = threads;
+    // Not EXPECT_EQ: a mismatch would print both multi-MB stores.
+    EXPECT_TRUE(store_bytes(opts, "video_t.prrstore", pop) == serial)
+        << "threads=" << threads;
+  }
+
+  // With tracing compiled out the stores above are header-only, which
+  // still must agree; there are no records to read back below.
+  if (!obs::trace_compiled_in()) {
+    GTEST_SKIP() << "tracing compiled out";
+  }
+  // A ring that never wraps: a wrapped block starts at an arbitrary
+  // record, which may legitimately be a timer_cancel, and would already
+  // have overwritten a leaked leading one.
+  opts.threads = 1;
+  opts.trace_ring_records = 1u << 16;
+  opts.store_path = temp_path("video_read.prrstore");
+  exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
+  const std::string path =
+      obs::store_path_for_arm(opts.store_path, exp::ArmConfig::prr_arm().name);
+  obs::StoreReader reader;
+  std::string err;
+  ASSERT_TRUE(obs::StoreReader::open(path, &reader, &err)) << err;
+  std::remove(path.c_str());
+  ASSERT_EQ(reader.connections().size(), 48u);
+  for (uint64_t conn : reader.connections()) {
+    std::vector<obs::TraceRecord> records;
+    ASSERT_TRUE(reader.read_connection(conn, &records));
+    ASSERT_FALSE(records.empty());
+    EXPECT_NE(records.front().type, obs::TraceType::kTimerCancel)
+        << "conn " << conn << " starts with a timer_cancel";
+  }
+}
+
+// The range's ring dies before the pooled arena that outlives it. A last
+// connection that ends with a timer armed must not cancel it into the
+// destroyed ring when the arena is torn down (a crash in optimized builds,
+// a stack-use-after-scope report under ASan).
+TEST(StoreDeterminism, ArenaTeardownDoesNotWriteIntoDeadRing) {
+  workload::VideoWorkload pop;
+  exp::RunOptions opts;
+  opts.connections = 48;
+  opts.seed = 2;
+  opts.threads = 1;
+  opts.store_path = temp_path("teardown.prrstore");
+  opts.capture = "sample=64,full=timeout";
+  const std::vector<exp::ArmConfig> arms = {exp::ArmConfig::prr_arm(),
+                                            exp::ArmConfig::rfc3517_arm(),
+                                            exp::ArmConfig::linux_arm()};
+  const std::vector<exp::ArmResult> results = exp::run_arms(pop, arms, opts);
+  ASSERT_EQ(results.size(), arms.size());
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    EXPECT_EQ(results[i].connections_run, 48u);
+    std::remove(
+        obs::store_path_for_arm(opts.store_path, arms[i].name).c_str());
+  }
 }
 
 }  // namespace
