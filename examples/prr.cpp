@@ -247,8 +247,8 @@ int cmd_sweep(Args& a) {
     return 1;
   }
   // Summarize from the writers' own accounting (carried on ArmResult),
-  // not by reopening the files: StoreReader loads a store whole, which
-  // would make the sweep's peak RSS scale with the kept bytes.
+  // not by reopening the files, which would re-read and re-digest every
+  // kept byte.
   bool ok = true;
   for (std::size_t i = 0; i < results.size(); ++i) {
     const std::string path = obs::store_path_for_arm(a.out, arms[i].name);

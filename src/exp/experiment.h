@@ -167,8 +167,7 @@ struct ArmResult {
   // Final accounting of the arm's finished store file (only with
   // RunOptions::store_path; filled by run_arm after the writer closes).
   // Callers wanting a post-run summary should read these instead of
-  // reopening the file — StoreReader loads the whole store, which would
-  // undo the flat-RSS write path on a large sweep.
+  // reopening the file, which re-reads and re-digests every kept byte.
   uint64_t store_connections = 0;
   uint64_t store_records = 0;
   uint64_t store_payload_bytes = 0;

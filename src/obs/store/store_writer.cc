@@ -292,9 +292,14 @@ bool merge_store_files(const std::vector<std::string>& inputs,
     if (err != nullptr) *err = "cannot open " + out_path + " for write";
     return false;
   }
+  std::vector<uint8_t> bytes;
   for (const Ref& ref : order) {
-    const StoreBlockMeta& b = readers[ref.input].blocks()[ref.block];
-    if (!writer.append_block(b, readers[ref.input].block_data(ref.block))) {
+    const StoreReader& reader = readers[ref.input];
+    if (!reader.read_block_bytes(ref.block, &bytes)) {
+      if (err != nullptr) *err = "read failure on " + inputs[ref.input];
+      return false;
+    }
+    if (!writer.append_block(reader.blocks()[ref.block], bytes.data())) {
       if (err != nullptr) *err = "write failure on " + out_path;
       return false;
     }

@@ -1,15 +1,23 @@
 // The columnar trace store (obs/store/): varint/zigzag primitives,
 // randomized encode/decode round-trips across every record type and
 // block boundary, truncated-file and corrupted-digest rejection, the
+// streaming reader's edges (blocks past its window, long headers, files
+// changed after open, moves) and its memory bound, the
 // capture-policy grammar, and the store-vs-live differentials — records
 // persisted through a sweep must equal the live trace_connection()
 // stream, and an EpisodeTable rebuilt from the store must reconcile
 // field-exactly with the live-folded one.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -328,6 +336,261 @@ TEST(StoreFile, RejectsCorruptedDigest) {
   }
   std::remove(path.c_str());
   std::remove(bad.c_str());
+}
+
+// Writes one store holding each (conn, records) pair in order, under
+// `meta`, and returns its path.
+std::string write_store(
+    const std::string& name, const StoreMeta& meta,
+    const std::vector<std::pair<uint64_t, std::vector<TraceRecord>>>& conns) {
+  StoreShard shard;
+  obs::StoreEncoder enc;
+  for (const auto& [conn, recs] : conns) {
+    enc.encode(recs.data(), recs.size(), conn, obs::kBlockSampled, &shard);
+  }
+  const std::string path = temp_path(name);
+  StoreWriter writer;
+  EXPECT_TRUE(writer.open(path, meta));
+  EXPECT_TRUE(writer.append_shard(shard));
+  EXPECT_TRUE(writer.finish());
+  return path;
+}
+
+TEST(StoreFile, BlockLargerThanReadWindowDecodes) {
+  // Conn 2's first segment is a full kMaxBlockRecords block, well past
+  // the reader's default window; the window grows to hold it.
+  const auto small1 = random_records(100, 1, 41);
+  const auto big = random_records(obs::kMaxBlockRecords + 500, 2, 42);
+  const auto small3 = random_records(60, 3, 43);
+  const std::string path = write_store(
+      "bigblock.prrstore", test_meta(), {{1, small1}, {2, big}, {3, small3}});
+  for (const bool verify : {true, false}) {
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(path, &reader, &err, verify)) << err;
+    ASSERT_EQ(reader.blocks().size(), 4u);
+    EXPECT_GT(reader.blocks()[1].bytes, obs::kStoreReadWindow);
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(reader.read_connection(2, &back));
+    expect_records_equal(big, back);
+    // A sequential scan across the big block yields the same stream.
+    back.clear();
+    for (std::size_t i = 0; i < reader.blocks().size(); ++i) {
+      ASSERT_TRUE(reader.read_block(i, &back)) << "block " << i;
+    }
+    std::vector<TraceRecord> all = small1;
+    all.insert(all.end(), big.begin(), big.end());
+    all.insert(all.end(), small3.begin(), small3.end());
+    expect_records_equal(all, back);
+    back.clear();
+    ASSERT_TRUE(reader.read_connection(3, &back));
+    expect_records_equal(small3, back);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreFile, LongHeaderRoundTripsMeta) {
+  StoreMeta meta = test_meta();
+  meta.scenario.clear();
+  for (int i = 0; meta.scenario.size() < 10000; ++i) {
+    meta.scenario += "chaos/step" + std::to_string(i) + ";";
+  }
+  const auto recs = random_records(200, 5, 51);
+  const std::string path =
+      write_store("longheader.prrstore", meta, {{5, recs}});
+  for (const bool verify : {true, false}) {
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(path, &reader, &err, verify)) << err;
+    EXPECT_TRUE(reader.meta() == meta);
+    std::vector<TraceRecord> back;
+    ASSERT_TRUE(reader.read_connection(5, &back));
+    expect_records_equal(recs, back);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(StoreFile, FileChangedAfterOpenFailsReads) {
+  std::vector<TraceRecord> conn3, conn7;
+  const std::string path = write_test_store("changed.prrstore",
+                                            &conn3, &conn7);
+  const std::string body = slurp(path);
+  // Truncated in place, and overwritten in place with same-length junk
+  // (0xFF bytes are never a complete varint).
+  for (const std::string& replacement :
+       {body.substr(0, body.size() / 2), std::string(body.size(), '\xff')}) {
+    spit(path, body);
+    StoreReader reader;
+    std::string err;
+    ASSERT_TRUE(StoreReader::open(path, &reader, &err)) << err;
+    spit(path, replacement);
+    std::vector<TraceRecord> back;
+    for (std::size_t i = 0; i < reader.blocks().size(); ++i) {
+      EXPECT_FALSE(reader.read_block(i, &back)) << "block " << i;
+    }
+    EXPECT_FALSE(reader.read_connection(3, &back));
+    EXPECT_FALSE(reader.read_connection(7, &back));
+    std::vector<uint8_t> raw;
+    if (replacement.size() < body.size()) {
+      EXPECT_FALSE(reader.read_block_bytes(1, &raw));
+    }
+  }
+  std::remove(path.c_str());
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(StoreFile, MovedReadersCloseTheirFileOnce) {
+  std::vector<TraceRecord> conn3, conn7;
+  const std::string path = write_test_store("moved.prrstore",
+                                            &conn3, &conn7);
+  std::string err;
+  std::vector<TraceRecord> back;
+  const std::size_t base = open_fds();
+  int sentinel = -1;
+  {
+    StoreReader b;
+    {
+      StoreReader a;
+      ASSERT_TRUE(StoreReader::open(path, &a, &err)) << err;
+      EXPECT_EQ(open_fds(), base + 1);
+      b = std::move(a);
+      EXPECT_EQ(open_fds(), base + 1);
+      // The moved-from reader is empty and still safe to query.
+      EXPECT_TRUE(a.blocks().empty());
+      EXPECT_EQ(a.total_records(), 0u);
+      EXPECT_TRUE(a.connections().empty());
+      EXPECT_TRUE(a.read_connection(3, &back));
+      EXPECT_TRUE(back.empty());
+    }  // a's destructor must leave b's file open
+    EXPECT_EQ(open_fds(), base + 1);
+    ASSERT_TRUE(b.read_connection(3, &back));
+    expect_records_equal(conn3, back);
+
+    StoreReader c(std::move(b));
+    StoreReader d;
+    ASSERT_TRUE(StoreReader::open(path, &d, &err)) << err;
+    EXPECT_EQ(open_fds(), base + 2);
+    d = std::move(c);  // closes the file d held
+    EXPECT_EQ(open_fds(), base + 1);
+    back.clear();
+    ASSERT_TRUE(d.read_connection(7, &back));
+    expect_records_equal(conn7, back);
+    // Takes the number d's old file freed; no later close may hit it.
+    sentinel = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    ASSERT_GE(sentinel, 0);
+    // A moved-from reader can be opened again.
+    ASSERT_TRUE(StoreReader::open(path, &b, &err)) << err;
+    back.clear();
+    ASSERT_TRUE(b.read_connection(3, &back));
+    expect_records_equal(conn3, back);
+  }
+  EXPECT_NE(::fcntl(sentinel, F_GETFD), -1);
+  ::close(sentinel);
+  EXPECT_EQ(open_fds(), base);
+  std::remove(path.c_str());
+}
+
+// Peak-RSS growth in bytes of `work` run in a forked child, measured from
+// the footprint the child inherits; -1 if `work` failed.
+long long child_peak_rss_growth(const std::function<bool()>& work) {
+  int fds[2];
+  if (::pipe(fds) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::close(fds[0]);
+    struct rusage before, after;
+    ::getrusage(RUSAGE_SELF, &before);
+    long long growth = -1;
+    if (work()) {
+      ::getrusage(RUSAGE_SELF, &after);
+      growth = (after.ru_maxrss - before.ru_maxrss) * 1024LL;  // KiB
+    }
+    const bool sent =
+        ::write(fds[1], &growth, sizeof growth) == sizeof growth;
+    ::_exit(sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  long long growth = -1;
+  if (pid < 0 || ::read(fds[0], &growth, sizeof growth) != sizeof growth) {
+    growth = -1;
+  }
+  ::close(fds[0]);
+  int status = 0;
+  if (pid > 0) ::waitpid(pid, &status, 0);
+  return growth;
+}
+
+TEST(StoreFile, QueriesRunInBoundedMemory) {
+  // A store of >= 64 MiB of payload: ~1,000-record connections with
+  // full-width fields (~68 encoded bytes a record), one episode each,
+  // plus one connection past kMaxBlockRecords (a ~1 MiB block).
+  constexpr uint64_t kPayload = 64ull << 20;
+  constexpr long long kRssBound = 16ll << 20;
+  const std::string path = temp_path("bounded.prrstore");
+  StoreWriter writer;
+  ASSERT_TRUE(writer.open(path, test_meta()));
+  sim::Mt64 rng(64);
+  obs::StoreEncoder enc;
+  StoreShard shard;
+  std::vector<TraceRecord> recs;
+  int64_t t = 0;
+  for (uint64_t conn = 0; writer.payload_bytes() < kPayload; ++conn) {
+    recs.assign(conn == 7 ? obs::kMaxBlockRecords + 100 : 1000, {});
+    for (std::size_t i = 0; i < recs.size(); ++i) {
+      TraceRecord& r = recs[i];
+      t += static_cast<int64_t>(rng() % 100000);
+      r.at_ns = t;
+      r.conn = static_cast<uint32_t>(conn);
+      r.type = i == 0               ? TraceType::kEnterRecovery
+               : i + 1 == recs.size() ? TraceType::kExitRecovery
+               : (i % 2 == 0)         ? TraceType::kAck
+                                      : TraceType::kTransmit;
+      r.a = static_cast<uint8_t>(rng() % 4);
+      r.b = 1430;
+      for (int k = 0; k < 6; ++k) r.f[k] = rng();
+    }
+    shard.clear();
+    enc.encode(recs.data(), recs.size(), conn, obs::kBlockSampled, &shard);
+    ASSERT_TRUE(writer.append_shard(shard));
+  }
+  ASSERT_TRUE(writer.finish());
+  ASSERT_GE(writer.payload_bytes(), kPayload);
+  const uint64_t conns = writer.connections();
+  const uint64_t records = writer.records();
+  recs = {};
+  shard = {};
+
+  const long long growth = child_peak_rss_growth([&] {
+    StoreReader reader;
+    std::string err;
+    if (!StoreReader::open(path, &reader, &err)) return false;
+    obs::EpisodeTable table;
+    if (!obs::episodes_from_store(reader, obs::QueryFilter{}, &table,
+                                  &err) ||
+        table.total() != conns) {
+      return false;
+    }
+    obs::AggregateQuery q;
+    q.group = obs::GroupKey::kConn;
+    obs::AggregateResult agg;
+    if (!obs::run_aggregate(reader, q, &agg, &err)) return false;
+    uint64_t seen = 0;
+    for (const auto& row : agg.rows) seen += row.count;
+    return seen == records;
+  });
+  std::remove(path.c_str());
+  ASSERT_GE(growth, 0) << "open or a query failed in the child";
+  EXPECT_LT(growth, kRssBound)
+      << "peak RSS grew " << (growth >> 20) << " MiB over a "
+      << (writer.payload_bytes() >> 20) << " MiB store";
 }
 
 TEST(CapturePolicy, ParseAcceptsGrammar) {
