@@ -64,12 +64,11 @@ void BM_PrrOnAck(benchmark::State& state) {
 BENCHMARK(BM_PrrOnAck);
 
 // Steady-state event churn: schedule + fire (the Link/Timer pattern)
-// and a timer-style reschedule, on a warm queue pinned to the heap
-// backend (BM_TimerWheel* below are the wheel counterparts). Both must
-// report allocs_per_op == 0 — the slot map recycles storage.
+// and a timer-style reschedule, on a warm queue. Both must report
+// allocs_per_op == 0 — the slot map recycles storage, and the stale
+// entries each reschedule strands are compacted away in place.
 void BM_EventSchedule(benchmark::State& state) {
   prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kHeap);
   int64_t now_us = 0;
   uint64_t fired = 0;
   // Warm the slot and heap vectors with a standing population.
@@ -96,7 +95,6 @@ BENCHMARK(BM_EventSchedule);
 
 void BM_EventReschedule(benchmark::State& state) {
   prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kHeap);
   uint64_t fired = 0;
   prr::sim::EventId id =
       q.schedule(prr::sim::Time::microseconds(1), [&fired] { ++fired; });
@@ -109,64 +107,6 @@ void BM_EventReschedule(benchmark::State& state) {
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventReschedule);
-
-// Timing-wheel counterparts of the two queue benches above: the same
-// schedule+fire churn and the same timer-style reschedule, explicitly on
-// the wheel backend, with a standing far-future population so overflow
-// levels (and the cascades that drain them) are exercised rather than
-// just level 0. Reschedule is the wheel's headline O(1) case — the RTO
-// re-armed on every ACK relinks one intrusive node instead of leaving a
-// stale heap entry behind. Both must report allocs_per_op == 0.
-void BM_TimerWheelSchedule(benchmark::State& state) {
-  prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kWheel);
-  int64_t now_us = 0;
-  uint64_t fired = 0;
-  std::vector<prr::sim::EventId> standing;
-  for (int i = 0; i < 64; ++i) {
-    standing.push_back(q.schedule(
-        prr::sim::Time::microseconds(1'000'000'000 + i), [&fired] {
-          ++fired;
-        }));
-  }
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
-    q.schedule(prr::sim::Time::microseconds(now_us + 10),
-               [&fired] { ++fired; });
-    ++now_us;
-    while (!q.empty() &&
-           q.next_time() <= prr::sim::Time::microseconds(now_us)) {
-      q.run_next();
-    }
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_TimerWheelSchedule);
-
-void BM_TimerWheelReschedule(benchmark::State& state) {
-  prr::sim::EventQueue q;
-  q.set_backend(prr::sim::SchedulerBackend::kWheel);
-  uint64_t fired = 0;
-  // A standing timer population spread across wheel levels, so the
-  // rescheduled timer's unlink/link happens in realistically occupied
-  // slots (not a degenerate empty wheel).
-  std::vector<prr::sim::EventId> standing;
-  for (int i = 0; i < 64; ++i) {
-    standing.push_back(q.schedule(
-        prr::sim::Time::microseconds(int64_t{1} << (10 + i % 20)),
-        [&fired] { ++fired; }));
-  }
-  prr::sim::EventId id =
-      q.schedule(prr::sim::Time::microseconds(1), [&fired] { ++fired; });
-  int64_t at = 1;
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
-    id = q.reschedule(id, prr::sim::Time::microseconds(++at));
-    benchmark::DoNotOptimize(id);
-  }
-  benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_TimerWheelReschedule);
 
 // ACK-train delivery through a Link: `train` back-to-back 40-byte ACKs
 // enter a fast link whose propagation delay holds them all in flight at

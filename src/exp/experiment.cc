@@ -301,9 +301,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
       local_sim.emplace();
     }
     sim::Simulator& sim = arena ? arena->sim : *local_sim;
-    // Scheduler backend and batch delivery are per-run toggles; the queue
-    // is empty here (fresh or just reset), which set_scheduler requires.
-    sim.set_scheduler(opts.scheduler);
     sim.set_batch_delivery(opts.batch_delivery);
 
     tcp::Metrics* metrics = result != nullptr ? &result->metrics : nullptr;

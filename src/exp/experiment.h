@@ -25,11 +25,11 @@
 
 #include "core/prr.h"
 #include "obs/episodes.h"
-#include "sim/event_queue.h"
 #include "obs/metrics_registry.h"
 #include "obs/store/capture_policy.h"
 #include "obs/store/store_writer.h"
 #include "obs/trace_record.h"
+#include "sim/simulator.h"
 #include "sim/time.h"
 #include "stats/latency.h"
 #include "stats/recovery_log.h"
@@ -249,12 +249,8 @@ struct RunOptions {
   bool pool_connections = true;
 
   // --- serial hot path (DESIGN.md §12) ---
-  // Ordering backend for each connection's event queue. kWheel (the
-  // compiled default unless PRR_SCHEDULER_WHEEL_DEFAULT=0) is the O(1)
-  // hierarchical timing wheel; kHeap is the 4-ary min-heap. Pop order —
-  // and therefore every aggregate and digest — is byte-identical between
-  // them (the differential tests in tests/test_timing_wheel.cc and the
-  // bench/scheduler_equivalence_gate enforce it).
+  // Inert compatibility shim (see sim::SchedulerBackend): every run uses
+  // the event queue's one ordering backend, the 4-ary min-heap.
   sim::SchedulerBackend scheduler = sim::kDefaultSchedulerBackend;
   // ACK-train batch delivery + coalesced timer rearms: links deliver
   // contiguous runs of propagating segments per queue event (the clock

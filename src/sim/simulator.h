@@ -25,6 +25,15 @@ namespace prr::sim {
 
 class Timer;
 
+// Inert compatibility shim: the event queue has one ordering backend,
+// the 4-ary min-heap. This enum, kDefaultSchedulerBackend,
+// Simulator::set_scheduler and exp::RunOptions::scheduler exist only
+// because the benchmark harness in perfbench/ names them; they go with
+// the next change to the benchmark. Nothing else may use them.
+enum class SchedulerBackend : uint8_t { kHeap, kWheel };
+inline constexpr SchedulerBackend kDefaultSchedulerBackend =
+    SchedulerBackend::kHeap;
+
 class Simulator {
  public:
   Time now() const { return now_; }
@@ -43,9 +52,10 @@ class Simulator {
   // Set before the run (idle simulator); per-event and batch mode are
   // observation-equivalent, so this is a performance toggle only.
   void set_batch_delivery(bool on) { batch_delivery_ = on; }
-  // Ordering backend for the event queue; only while no events pending.
-  void set_scheduler(SchedulerBackend b) { queue_.set_backend(b); }
-  SchedulerBackend scheduler() const { return queue_.backend(); }
+  // Inert compatibility shim (see SchedulerBackend above).
+  void set_scheduler([[maybe_unused]] SchedulerBackend b) {
+    assert(b == SchedulerBackend::kHeap);
+  }
 
   // Draws the next FIFO seq without scheduling (see EventQueue::take_seq).
   uint64_t take_seq() { return queue_.take_seq(); }
@@ -89,10 +99,10 @@ class Simulator {
 
   // Returns the simulator to its freshly-constructed state (clock at
   // zero, no pending events, no profiler tap) while keeping the event
-  // queue's slot/backend capacity and the configured scheduler and
-  // batch-delivery mode. EventIds issued before reset() are stale
-  // afterwards and safe to cancel/reschedule (no-ops), which is what
-  // lets pooled Timers survive across connections.
+  // queue's slot/heap capacity and the configured batch-delivery mode.
+  // EventIds issued before reset() are stale afterwards and safe to
+  // cancel/reschedule (no-ops), which is what lets pooled Timers survive
+  // across connections.
   void reset();
 
   // Self-profiling tap (obs::SelfProfiler): when set, step() wall-clock

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <random>
 #include <utility>
 #include <vector>
+
+#include "util/alloc_counter.h"
 
 namespace prr::sim {
 namespace {
@@ -191,110 +195,285 @@ TEST(EventQueue, RescheduleKeepsFifoParityWithCancelPlusSchedule) {
   EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
 }
 
-// Differential test: the slot-map queue against a naive sorted-vector
-// model, through a long randomized schedule/cancel/reschedule/run
-// workload including stale ids and equal-time groups.
-TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
-  struct ModelEvent {
+// Far-apart times, including a tie and a pair one tick apart, pop in
+// time order with the tie in scheduling order.
+TEST(EventQueue, FarFutureTimesPopInOrder) {
+  EventQueue q;
+  static constexpr int64_t kTimes[] = {
+      5,
+      (int64_t{1} << 20) + 3,
+      (int64_t{1} << 20) + 3,
+      (int64_t{1} << 20) + 4,
+      (int64_t{1} << 44) + 17,
+      (int64_t{1} << 59) + 1,
+  };
+  std::vector<int> order;
+  for (int i = 5; i >= 0; --i) {
+    // Scheduled in reverse so the heap must reorder every one of them;
+    // the tie (labels 1 and 2) still fires in scheduling order: 2, 1.
+    q.schedule(Time::nanoseconds(kTimes[i]),
+               [&order, i] { order.push_back(i); });
+  }
+  std::vector<int64_t> times;
+  while (!q.empty()) times.push_back(q.run_next().ns());
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 1, 3, 4, 5}));
+  EXPECT_EQ(times, std::vector<int64_t>(std::begin(kTimes), std::end(kTimes)));
+}
+
+// Events scheduled at one time from inside an earlier callback fire
+// after the events scheduled at that time before it ran.
+TEST(EventQueue, EqualTimeFifoHoldsForEventsScheduledByCallbacks) {
+  EventQueue q;
+  std::vector<int> order;
+  const Time t = Time::nanoseconds((int64_t{1} << 30) + 12345);
+  q.schedule(t, [&] { order.push_back(0); });
+  q.schedule(t, [&] { order.push_back(1); });
+  q.schedule(t - Time::nanoseconds(64), [&] {
+    q.schedule(t, [&] { order.push_back(2); });
+    q.schedule(t, [&] { order.push_back(3); });
+  });
+  while (!q.empty()) q.run_next();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// Reschedules far -> near, near -> far, and onto an occupied time (the
+// moved event re-sequences behind the one already there).
+TEST(EventQueue, RescheduleFarNearAndOntoOccupiedTime) {
+  EventQueue q;
+  std::vector<int> order;
+  EventId far = q.schedule(Time::nanoseconds(int64_t{1} << 50),
+                           [&] { order.push_back(0); });
+  EventId near = q.schedule(Time::nanoseconds(100),
+                            [&] { order.push_back(1); });
+  q.schedule(Time::nanoseconds(200), [&] { order.push_back(2); });
+  far = q.reschedule(far, Time::nanoseconds(150));
+  ASSERT_NE(far, kInvalidEventId);
+  near = q.reschedule(near, Time::nanoseconds(int64_t{1} << 48));
+  ASSERT_NE(near, kInvalidEventId);
+  far = q.reschedule(far, Time::nanoseconds(200));
+  ASSERT_NE(far, kInvalidEventId);
+  std::vector<int64_t> times;
+  while (!q.empty()) times.push_back(q.run_next().ns());
+  EXPECT_EQ(order, (std::vector<int>{2, 0, 1}));
+  EXPECT_EQ(times, (std::vector<int64_t>{200, 200, int64_t{1} << 48}));
+}
+
+// Naive reference for the queue's order: an unordered vector popped by
+// linear scan for the smallest (at, seq).
+struct NaiveModel {
+  struct Event {
     int64_t at_ms;
     uint64_t seq;
     int tag;
   };
+  std::vector<Event> events;
+
+  std::size_t min_index() const {
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      if (events[i].at_ms < events[best].at_ms ||
+          (events[i].at_ms == events[best].at_ms &&
+           events[i].seq < events[best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+  Event pop() {
+    const std::size_t best = min_index();
+    const Event e = events[best];
+    events.erase(events.begin() + static_cast<std::ptrdiff_t>(best));
+    return e;
+  }
+  void erase(uint64_t seq) {
+    std::erase_if(events, [seq](const Event& e) { return e.seq == seq; });
+  }
+  void move(uint64_t seq, int64_t at_ms, uint64_t new_seq) {
+    for (Event& e : events) {
+      if (e.seq == seq) e = Event{at_ms, new_seq, e.tag};
+    }
+  }
+  // EventQueue::next_is_after: nothing pending sorts at or before
+  // (at_ms, seq).
+  bool next_is_after(int64_t at_ms, uint64_t seq) const {
+    if (events.empty()) return true;
+    const Event& head = events[min_index()];
+    if (head.at_ms != at_ms) return head.at_ms > at_ms;
+    return head.seq > seq;
+  }
+};
+
+// Differential test: the slot-map queue against the naive model, through
+// a long randomized workload including stale ids, equal-time groups, and
+// the batch-delivery calls: seqs pre-drawn with take_seq() and
+// materialized later — out of seq order — by schedule_with_seq() or
+// reschedule_with_seq(), with next_is_after() probed at every step.
+TEST(EventQueue, RandomizedDifferentialAgainstNaiveModel) {
   std::mt19937_64 rng(20110501);
   for (int round = 0; round < 20; ++round) {
     EventQueue q;
-    std::vector<ModelEvent> model;  // unordered; popped by (at, seq)
-    uint64_t next_seq = 1;
+    NaiveModel model;
+    uint64_t next_seq = 1;  // mirrors the queue's FIFO counter
     // Live (queue id, model seq) pairs plus retired ids for stale probes.
     std::vector<std::pair<EventId, uint64_t>> live;
     std::vector<EventId> stale;
+    std::vector<uint64_t> drawn;  // pre-drawn seqs not yet materialized
     std::vector<int> queue_fired, model_fired;
     int next_tag = 0;
 
-    auto model_pop = [&]() {
-      std::size_t best = 0;
-      for (std::size_t i = 1; i < model.size(); ++i) {
-        if (model[i].at_ms < model[best].at_ms ||
-            (model[i].at_ms == model[best].at_ms &&
-             model[i].seq < model[best].seq)) {
-          best = i;
-        }
-      }
-      ModelEvent e = model[best];
-      model.erase(model.begin() + static_cast<std::ptrdiff_t>(best));
-      return e;
+    auto add = [&](EventId id, int64_t at_ms, uint64_t seq, int tag) {
+      model.events.push_back({at_ms, seq, tag});
+      live.emplace_back(id, seq);
+    };
+    auto fire = [&queue_fired](int tag) {
+      return [&queue_fired, tag] { queue_fired.push_back(tag); };
     };
 
     for (int step = 0; step < 400; ++step) {
       const uint64_t action = rng() % 100;
-      if (action < 45 || live.empty()) {
-        // Schedule. Times collide on purpose (mod 16) to exercise FIFO.
-        const int64_t at_ms = static_cast<int64_t>(rng() % 16);
+      // Times collide on purpose (mod 16) to exercise FIFO.
+      const int64_t at_ms = static_cast<int64_t>(rng() % 16);
+      if (action < 8) {
+        // Pre-draw a seq; a later step materializes it, after other
+        // schedules have taken higher seqs.
+        const uint64_t seq = q.take_seq();
+        ASSERT_EQ(seq, next_seq++);
+        drawn.push_back(seq);
+      } else if (action < 16 && !drawn.empty()) {
+        // Materialize a random pre-drawn seq: as a fresh event, or by
+        // moving a live one under it.
+        const std::size_t d = rng() % drawn.size();
+        const uint64_t seq = drawn[d];
+        drawn.erase(drawn.begin() + static_cast<std::ptrdiff_t>(d));
+        if (!live.empty() && rng() % 2 == 0) {
+          const std::size_t i = rng() % live.size();
+          const EventId moved = q.reschedule_with_seq(
+              live[i].first, Time::milliseconds(at_ms), seq);
+          ASSERT_NE(moved, kInvalidEventId);
+          stale.push_back(live[i].first);
+          model.move(live[i].second, at_ms, seq);
+          live[i] = {moved, seq};
+        } else {
+          const int tag = next_tag++;
+          add(q.schedule_with_seq(Time::milliseconds(at_ms), seq, fire(tag)),
+              at_ms, seq, tag);
+        }
+      } else if (action < 50 || live.empty()) {
         const int tag = next_tag++;
-        EventId id = q.schedule(Time::milliseconds(at_ms),
-                                [&queue_fired, tag] {
-                                  queue_fired.push_back(tag);
-                                });
-        model.push_back({at_ms, next_seq, tag});
-        live.emplace_back(id, next_seq);
-        ++next_seq;
-      } else if (action < 60) {
+        add(q.schedule(Time::milliseconds(at_ms), fire(tag)), at_ms,
+            next_seq++, tag);
+      } else if (action < 62) {
         // Cancel a live event.
         const std::size_t i = rng() % live.size();
         q.cancel(live[i].first);
         stale.push_back(live[i].first);
-        const uint64_t seq = live[i].second;
-        std::erase_if(model, [seq](const ModelEvent& e) {
-          return e.seq == seq;
-        });
+        model.erase(live[i].second);
         live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
       } else if (action < 72) {
         // Reschedule a live event: same tag, new time, fresh seq.
         const std::size_t i = rng() % live.size();
-        const int64_t at_ms = static_cast<int64_t>(rng() % 16);
         EventId moved = q.reschedule(live[i].first, Time::milliseconds(at_ms));
         ASSERT_NE(moved, kInvalidEventId);
         stale.push_back(live[i].first);
-        for (auto& e : model) {
-          if (e.seq == live[i].second) {
-            e.at_ms = at_ms;
-            e.seq = next_seq;
-          }
-        }
-        live[i] = {moved, next_seq};
-        ++next_seq;
-      } else if (action < 82 && !stale.empty()) {
-        // Poke with stale ids: cancel and reschedule must both no-op.
+        model.move(live[i].second, at_ms, next_seq);
+        live[i] = {moved, next_seq++};
+      } else if (action < 80 && !stale.empty()) {
+        // Poke with stale ids: every mutation must no-op.
         const EventId id = stale[rng() % stale.size()];
         q.cancel(id);
         EXPECT_EQ(q.reschedule(id, Time::milliseconds(1)), kInvalidEventId);
+        EXPECT_EQ(q.reschedule_with_seq(id, Time::milliseconds(1), 1),
+                  kInvalidEventId);
       } else if (!q.empty()) {
         // Run the earliest event; drop it from the live set.
         const Time t = q.run_next();
-        const ModelEvent e = model_pop();
+        const NaiveModel::Event e = model.pop();
         model_fired.push_back(e.tag);
         EXPECT_EQ(t.ms(), e.at_ms);
         std::erase_if(live, [&](const auto& p) { return p.second == e.seq; });
       }
-      ASSERT_EQ(q.size(), model.size());
-      ASSERT_EQ(q.empty(), model.empty());
-      if (!model.empty()) {
-        int64_t best = model[0].at_ms;
-        for (const auto& e : model) best = std::min(best, e.at_ms);
-        ASSERT_EQ(q.next_time().ms(), best);
+      ASSERT_EQ(q.size(), model.events.size());
+      ASSERT_EQ(q.empty(), model.events.empty());
+      if (!model.events.empty()) {
+        const NaiveModel::Event& head = model.events[model.min_index()];
+        ASSERT_EQ(q.next_time().ms(), head.at_ms);
+        // The boundary probes: the head itself is not after itself, the
+        // key just before it is.
+        ASSERT_FALSE(q.next_is_after(Time::milliseconds(head.at_ms),
+                                     head.seq));
+        ASSERT_TRUE(q.next_is_after(Time::milliseconds(head.at_ms),
+                                    head.seq - 1));
       } else {
         ASSERT_TRUE(q.next_time().is_infinite());
       }
+      const int64_t probe_ms = static_cast<int64_t>(rng() % 17);
+      const uint64_t probe_seq = rng() % (next_seq + 1);
+      ASSERT_EQ(q.next_is_after(Time::milliseconds(probe_ms), probe_seq),
+                model.next_is_after(probe_ms, probe_seq))
+          << "round " << round << " step " << step;
     }
     // Drain.
     while (!q.empty()) {
       const Time t = q.run_next();
-      const ModelEvent e = model_pop();
+      const NaiveModel::Event e = model.pop();
       model_fired.push_back(e.tag);
       EXPECT_EQ(t.ms(), e.at_ms);
     }
     EXPECT_EQ(queue_fired, model_fired);
   }
+}
+
+// A timer re-armed over and over (the per-ACK RTO pattern) among a small
+// standing population leaves a stale heap entry per re-arm; once the heap
+// holds >= 64 entries and more than 4 per live event, push_entry()
+// compacts it in place. Without that compaction the measured loop would
+// grow the heap vector past its warm capacity, so zero allocations here
+// shows the compaction ran. The standing events are scheduled out of
+// time order, so a compaction that dropped stale entries without
+// re-heapifying would pop them out of order in the drain.
+TEST(EventQueue, StaleEntryCompactionKeepsOrderAndAllocatesNothing) {
+  ASSERT_TRUE(util::alloc_counting_enabled());
+  EventQueue q;
+  NaiveModel model;
+  uint64_t seq = 0;  // mirrors the queue's FIFO counter
+  std::vector<int> fired;
+  fired.reserve(16);
+  for (int j = 0; j < 8; ++j) {
+    const int i = (j * 5) % 8;
+    const int64_t at_ms = 10 * (i + 1);
+    q.schedule(Time::milliseconds(at_ms), [&fired, i] { fired.push_back(i); });
+    model.events.push_back({at_ms, ++seq, i});
+  }
+  static constexpr int kTimer = 100;
+  EventId timer = q.schedule(90_ms, [&fired] { fired.push_back(kTimer); });
+  model.events.push_back({90, ++seq, kTimer});
+  const uint64_t timer_seq = seq;
+
+  auto rearm = [&](int times) {
+    for (int k = 0; k < times; ++k) {
+      timer = q.reschedule(timer, Time::milliseconds(5 + (k * 53) % 80));
+      ++seq;
+    }
+  };
+  rearm(300);  // warm: slot and heap vectors reach steady capacity
+  const util::AllocCounts before = util::alloc_counts();
+  rearm(1000);
+  const util::AllocCounts after = util::alloc_counts();
+  EXPECT_EQ(after.allocations - before.allocations, 0u);
+  ASSERT_NE(timer, kInvalidEventId);
+  EXPECT_EQ(q.size(), 9u);
+
+  // Land the timer on an occupied time: it fires after the standing
+  // event there, which holds an older seq.
+  timer = q.reschedule(timer, 40_ms);
+  model.move(timer_seq, 40, ++seq);
+  std::vector<int> want;
+  while (!q.empty()) {
+    EXPECT_EQ(q.run_next().ms(), model.events[model.min_index()].at_ms);
+    want.push_back(model.pop().tag);
+  }
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, kTimer, 4, 5, 6, 7}));
 }
 
 }  // namespace
