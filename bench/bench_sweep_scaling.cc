@@ -20,14 +20,11 @@
 // thread boundaries — cannot change any aggregate.
 //
 // Env overrides:
-//   SWEEP_CONNECTIONS   population size per arm        (default 2000)
+//   SWEEP_CONNECTIONS   population size per arm        (default 20000)
 //   SWEEP_THREADS       comma-separated thread counts  (default "1,2,4,8")
 //   SWEEP_PROCS         fork-per-shard process count   (default 0 = off)
 //   SWEEP_BOUNDED       1 = bounded O(1)-memory stats  (default 0)
-//   SWEEP_POOL          0 = disable connection arenas  (default 1)
 //   SWEEP_MEM_BUDGET_MB fail if peak RSS exceeds this  (default 0 = off)
-//   SWEEP_KEEP_SHARDS   1 = keep per-shard JSON files  (default 0)
-//   SWEEP_BATCH         0 = per-event delivery         (default 1)
 //   BENCH_SWEEP_JSON    output path                    (default "BENCH_SWEEP.json")
 #include <sys/resource.h>
 #include <sys/wait.h>
@@ -259,21 +256,17 @@ int main() {
   const char* threads_env = std::getenv("SWEEP_THREADS");
   const char* procs_env = std::getenv("SWEEP_PROCS");
   const char* bounded_env = std::getenv("SWEEP_BOUNDED");
-  const char* pool_env = std::getenv("SWEEP_POOL");
   const char* budget_env = std::getenv("SWEEP_MEM_BUDGET_MB");
-  const char* keep_env = std::getenv("SWEEP_KEEP_SHARDS");
   const char* json_env = std::getenv("BENCH_SWEEP_JSON");
-  // SWEEP_BATCH=0|1 pins the ACK-train batch delivery mode (DESIGN.md
-  // §12) for A/B perf runs; the default matches RunOptions.
-  const char* batch_env = std::getenv("SWEEP_BATCH");
-  const int connections = conn_env ? std::atoi(conn_env) : 2000;
+  // 20k connections makes the serial leg about 1 s on a 4-vCPU host; at
+  // 2k each leg took ~0.1 s and two identical runs gave 3.36x vs 4.30x
+  // at 4 threads.
+  const int connections = conn_env ? std::atoi(conn_env) : 20000;
   const std::vector<int> thread_counts =
       parse_thread_list(threads_env ? threads_env : "1,2,4,8");
   const int procs = procs_env ? std::atoi(procs_env) : 0;
   const bool bounded = bounded_env && std::atoi(bounded_env) != 0;
-  const bool pool = pool_env ? std::atoi(pool_env) != 0 : true;
   const double budget_mb = budget_env ? std::atof(budget_env) : 0.0;
-  const bool keep_shards = keep_env && std::atoi(keep_env) != 0;
   const std::string json_path = json_env ? json_env : "BENCH_SWEEP.json";
 
   workload::WebWorkload pop;
@@ -282,23 +275,21 @@ int main() {
   opts.connections = connections;
   opts.seed = 20110501;
   opts.bounded_stats = bounded;
-  opts.pool_connections = pool;
-  if (batch_env != nullptr) opts.batch_delivery = std::atoi(batch_env) != 0;
 
   // Parallel speedup numbers are only meaningful when the machine has
-  // cores to scale onto; on a 1-core box every thread count serializes
-  // and "speedup" is just scheduling noise. The serial conns/sec trend
-  // is the figure future PRs should track in that case.
+  // cores to scale onto (on a 1-core box every thread count serializes)
+  // and the serial leg they are divided by runs long enough (>= 1 s) for
+  // scheduling jitter to be small next to it. Otherwise the serial
+  // conns/sec trend is the figure to track.
+  constexpr double kMinSerialSeconds = 1.0;
   const bench::HostFingerprint fp = bench::host_fingerprint();
   const unsigned hw = fp.hardware_concurrency;
-  const bool speedup_meaningful = hw > 1;
-  std::printf("hardware_concurrency=%u%s%s%s\n\n", hw,
-              speedup_meaningful
+  std::printf("hardware_concurrency=%u%s%s\n\n", hw,
+              hw > 1
                   ? ""
                   : "  (1 core: speedup columns are noise; track the "
                     "serial conns/sec trend instead)",
-              bounded ? "  [bounded stats]" : "",
-              pool ? "" : "  [pooling off]");
+              bounded ? "  [bounded stats]" : "");
 
   // One untimed warm-up sweep, so the first timed leg does not also pay
   // for cold caches, page faults and allocator growth (a cold threads=1
@@ -310,6 +301,7 @@ int main() {
   uint64_t serial_digest = 0;
   double serial_seconds = 0;
   double serial_conns_per_sec = 0;
+  bool speedup_meaningful = false;
   bool digests_match = true;
   for (int threads : thread_counts) {
     opts.threads = threads;
@@ -329,6 +321,7 @@ int main() {
     if (points.empty()) {
       serial_digest = digest;
       serial_seconds = p.seconds;
+      speedup_meaningful = hw > 1 && serial_seconds >= kMinSerialSeconds;
     } else if (digest != serial_digest) {
       digests_match = false;
       std::fprintf(stderr,
@@ -350,6 +343,10 @@ int main() {
     serial_conns_per_sec = points.front().conns_per_sec;
   }
   std::printf("\nserial trend: %.1f conns/sec\n", serial_conns_per_sec);
+  if (hw > 1 && !speedup_meaningful) {
+    std::printf("(serial leg %.2fs < %.0fs: speedups are noise)\n",
+                serial_seconds, kMinSerialSeconds);
+  }
 
   // --- fork-per-shard pass -----------------------------------------------
   // Children run disjoint id-ranges of the same population and write
@@ -415,9 +412,7 @@ int main() {
                    "aggregates\n");
       fork_merge_identical = false;
     }
-    if (!keep_shards) {
-      for (const auto& p : shard_paths) std::remove(p.c_str());
-    }
+    for (const auto& p : shard_paths) std::remove(p.c_str());
     const auto t1 = std::chrono::steady_clock::now();
     procs_seconds = std::chrono::duration<double>(t1 - t0).count();
     std::printf("procs=%-3d %8.2fs  fork-per-shard merge %s\n",
@@ -448,6 +443,20 @@ int main() {
   // (the historical JSON showed hardware_concurrency: 1 with bare
   // nulls). The machine object is the fingerprint perf_ratchet keys
   // comparisons on.
+  std::string nulled_reason = "null";
+  if (hw <= 1) {
+    nulled_reason =
+        "\"hardware_concurrency == 1: every thread count serializes onto "
+        "one core, so speedup_vs_serial would be scheduling noise, not "
+        "scaling\"";
+  } else if (!speedup_meaningful) {
+    char reason[160];
+    std::snprintf(reason, sizeof(reason),
+                  "\"the serial leg ran %.2f s (< %.0f s), too short for "
+                  "speedup_vs_serial to rise above scheduling noise\"",
+                  serial_seconds, kMinSerialSeconds);
+    nulled_reason = reason;
+  }
   std::string body;
   char line[1024];
   std::snprintf(line, sizeof(line),
@@ -461,7 +470,6 @@ int main() {
                "  \"speedup_nulled_reason\": %s,\n"
                "  \"batch_delivery\": %s,\n"
                "  \"bounded_stats\": %s,\n"
-               "  \"pool_connections\": %s,\n"
                "  \"serial_conns_per_sec\": %.1f,\n"
                "  \"aggregates_identical\": %s,\n"
                "  \"peak_rss_mb\": %.1f,\n"
@@ -471,22 +479,17 @@ int main() {
                "  \"points\": [\n",
                connections, arms.size(),
                bench::host_fingerprint_json(fp).c_str(), hw,
-               speedup_meaningful ? "true" : "false",
-               speedup_meaningful
-                   ? "null"
-                   : "\"hardware_concurrency == 1: every thread count "
-                     "serializes onto one core, so speedup_vs_serial "
-                     "would be scheduling noise, not scaling\"",
+               speedup_meaningful ? "true" : "false", nulled_reason.c_str(),
                opts.batch_delivery ? "true" : "false",
-               bounded ? "true" : "false", pool ? "true" : "false",
+               bounded ? "true" : "false",
                serial_conns_per_sec, digests_match ? "true" : "false",
                rss_mb, bytes_per_conn, procs,
                fork_merge_identical ? "true" : "false");
   body += line;
   for (std::size_t i = 0; i < points.size(); ++i) {
     const Point& p = points[i];
-    // On a 1-core machine speedup_vs_serial is emitted as null rather
-    // than a number nobody should read as a scaling claim.
+    // When speedups are not meaningful speedup_vs_serial is emitted as
+    // null rather than a number nobody should read as a scaling claim.
     std::snprintf(line, sizeof(line),
                   "    {\"threads\": %d, \"seconds\": %.4f, "
                   "\"conns_per_sec\": %.1f, \"speedup_vs_serial\": ",

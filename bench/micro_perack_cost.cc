@@ -299,10 +299,9 @@ BENCHMARK(BM_FlightRecorderWrite);
 // The same 100 kB connection as BM_ConnectionRun/0, with the full
 // observability stack attached (flight recorder on the sender and the
 // fault injector path, wire tap, timer tracing). Compare against
-// BM_ConnectionRun/0 for the enabled-tracing overhead; under a
-// PRR_TRACING=OFF build records_per_iter reports ~0 and the two must
-// match to the noise floor. BENCH_TRACE.json (bench_trace_overhead)
-// records the sweep-level version of this comparison.
+// BM_ConnectionRun/0 for the enabled-tracing overhead.
+// BENCH_TRACE.json (bench_trace_overhead) records the sweep-level
+// version of this comparison.
 void BM_ConnectionRunTraced(benchmark::State& state) {
   uint64_t records = 0;
   // One ring for the whole run, cleared per connection — the same shape

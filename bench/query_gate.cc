@@ -23,8 +23,6 @@
 //
 // Runs under chaos (ChaosSpec::everything) so the records exercise RTO
 // interruptions, undo and aborts. Exits non-zero on the first mismatch.
-// With PRR_TRACING=OFF rings carry no instrumentation, so stores are
-// structurally valid but empty; the gate prints a skip line and passes.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -34,7 +32,6 @@
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
 #include "obs/episodes.h"
-#include "obs/flight_recorder.h"
 #include "obs/query.h"
 #include "obs/store/capture_policy.h"
 #include "obs/store/store_reader.h"
@@ -180,18 +177,6 @@ int main() {
     std::string err;
     GATE_CHECK(obs::StoreReader::open(ref_path, &reader, &err),
                "reopen reference store: %s\n", err.c_str());
-  }
-
-  if (!obs::trace_compiled_in()) {
-    std::remove(ref_path.c_str());
-    if (g_failures > 0) {
-      std::printf("query_gate: %d check(s) FAILED\n", g_failures);
-      return 1;
-    }
-    std::printf("query_gate: tracing compiled out (PRR_TRACING=OFF); "
-                "stores are empty by design -- structural checks passed, "
-                "skipping reconciliation.\n");
-    return 0;
   }
 
   // --- 3. episodes_from_store == live episode table -------------------

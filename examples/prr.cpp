@@ -45,7 +45,6 @@
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
 #include "obs/episodes.h"
-#include "obs/flight_recorder.h"
 #include "obs/perfetto.h"
 #include "obs/query.h"
 #include "obs/store/store_reader.h"
@@ -193,11 +192,6 @@ int cmd_sweep(Args& a) {
   }
   std::vector<exp::ArmConfig> arms;
   if (!parse_arms(a.arm, &arms)) return 2;
-  if (!obs::trace_compiled_in()) {
-    std::printf("prr: tracing compiled out (PRR_TRACING=OFF); skipping "
-                "record capture -- stores are header-only. Rebuild with "
-                "tracing.\n");
-  }
   exp::RunOptions& opts = a.opts;
   if (a.conn >= 0) {
     // One connection, with a ring large enough that views of it see the

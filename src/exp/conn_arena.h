@@ -4,14 +4,17 @@
 // objects, response vectors); a ConnArena owns one of each and recycles
 // them through the explicit reset() protocol (Simulator::reset,
 // Connection::reset, ServerApp::reset), so the warm sweep loop performs
-// no per-connection allocation on clean paths.
+// no per-connection allocation on clean paths. Every connection runs
+// through an arena: sweeps keep one per worker, while trace_connection
+// and Experiment::replay use a fresh one.
 //
 // Correctness contract: "fresh == reset by construction". Every reset()
 // in the chain restores exactly the freshly-constructed state (the
 // Sender constructor itself delegates to the same reset_core_state()),
-// so a pooled run is byte-identical to a fresh-objects run — enforced by
-// tests/test_conn_arena.cc digest comparisons and, in debug builds, by
-// check_reset_state() after every recycle.
+// so a sweep that recycles one arena is byte-identical to running each
+// id as its own one-connection run_arm (a brand-new arena per id) —
+// enforced by tests/test_conn_arena.cc digest comparisons and, in debug
+// builds, by check_reset_state() after every recycle.
 #pragma once
 
 #include <optional>

@@ -217,12 +217,11 @@ bool ring_saw_rto_interrupt(const obs::FlightRecorder& ring) {
 // both the sweep and quarantine replay go through, so a replay is the
 // exact computation the original run performed. `result` may be null
 // (replay mode: no aggregation). `force_check` enables the invariant
-// checker regardless of opts.check_invariants. `arena` may be null (the
-// fresh-objects path: one-off callers, replay, pooling disabled); when
-// set, the simulator/connection/app are recycled from it through the
-// reset() protocol — "fresh == reset by construction", so both paths are
-// the identical computation. Exceptions are caught here (not in the
-// caller) so the flight-recorder tail can be captured after the stack
+// checker regardless of opts.check_invariants. The simulator/connection/
+// app come from `arena`: built on its first connection, recycled through
+// the reset() protocol after that ("fresh == reset by construction").
+// One-off callers pass a fresh arena. Exceptions are caught here (not in
+// the caller) so the flight-recorder tail can be captured after the stack
 // unwinds.
 //
 // `capture`/`encoder` (both set or both null) enable trace-store capture:
@@ -232,8 +231,8 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
                                      const ArmConfig& arm,
                                      const RunOptions& opts, uint64_t id,
                                      bool force_check, ArmResult* result,
-                                     obs::FlightRecorder* shared_recorder,
-                                     ConnArena* arena,
+                                     obs::FlightRecorder* recorder,
+                                     ConnArena& arena,
                                      const obs::CapturePolicy* capture,
                                      obs::StoreEncoder* encoder) {
   ConnectionOutcome outcome;
@@ -241,23 +240,13 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
   const bool capturing =
       capture != nullptr && encoder != nullptr && result != nullptr;
 
-  // The recorder outlives the connection (declared before the try) so a
-  // throwing connection still leaves a readable tail. Checked runs get
-  // one even without opts.trace: quarantine artifacts always carry the
-  // events leading up to the failure. Sweeps pass a shard-owned ring
-  // (cleared per connection) so short transfers don't pay a ring
-  // allocation each; one-off callers get a local ring.
-  std::optional<obs::FlightRecorder> local_recorder;
-  obs::FlightRecorder* recorder = nullptr;
-  if (opts.trace || check || opts.collect_episodes || capturing) {
-    if (shared_recorder != nullptr) {
-      shared_recorder->clear();
-      recorder = shared_recorder;
-    } else {
-      local_recorder.emplace(opts.trace_ring_records);
-      recorder = &*local_recorder;
-    }
-  }
+  // `recorder` is the caller's ring, set whenever the run traces, checks,
+  // collects episodes or captures (checked runs get one even without
+  // opts.trace: quarantine artifacts always carry the events leading up
+  // to the failure). It outlives the connection, so a throwing connection
+  // still leaves a readable tail; sweeps pass one ring per shard, so short
+  // transfers don't pay a ring allocation each.
+  if (recorder) recorder->clear();
 
   // Episode accumulation taps the recorder through a listener (records
   // are folded as written, so ring wrap cannot lose episodes). The
@@ -284,8 +273,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     // Common random numbers: the sample and all network randomness derive
     // from (seed, id), independent of the arm.
     sim::Rng conn_rng = sim::Rng(opts.seed).fork(id);
-    workload::ConnectionSample local_sample;
-    workload::ConnectionSample& sample = arena ? arena->sample : local_sample;
+    workload::ConnectionSample& sample = arena.sample;
     pop.sample_into(conn_rng.fork(100), sample);
     if (result != nullptr) {
       for (const auto& resp : sample.responses) {
@@ -294,33 +282,22 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     }
     outcome.fault_summary = sample.faults.describe();
 
-    std::optional<sim::Simulator> local_sim;
-    if (arena) {
-      arena->sim.reset();
-    } else {
-      local_sim.emplace();
-    }
-    sim::Simulator& sim = arena ? arena->sim : *local_sim;
+    sim::Simulator& sim = arena.sim;
+    sim.reset();
     sim.set_batch_delivery(opts.batch_delivery);
 
     tcp::Metrics* metrics = result != nullptr ? &result->metrics : nullptr;
     stats::RecoveryLog* rlog =
         result != nullptr ? &result->recovery_log : nullptr;
-    std::optional<tcp::Connection> local_conn;
-    if (arena) {
-      if (!arena->conn) {
-        arena->conn.emplace(sim, make_connection_config(sample, arm),
-                            conn_rng.fork(101), metrics, rlog);
-      } else {
-        arena->conn->reset(make_connection_config(sample, arm),
-                           conn_rng.fork(101), metrics, rlog);
-        arena->check_reset_state();
-      }
-    } else {
-      local_conn.emplace(sim, make_connection_config(sample, arm),
+    if (!arena.conn) {
+      arena.conn.emplace(sim, make_connection_config(sample, arm),
                          conn_rng.fork(101), metrics, rlog);
+    } else {
+      arena.conn->reset(make_connection_config(sample, arm),
+                        conn_rng.fork(101), metrics, rlog);
+      arena.check_reset_state();
     }
-    tcp::Connection& conn = arena ? *arena->conn : *local_conn;
+    tcp::Connection& conn = *arena.conn;
     if (recorder) {
       conn.sender().set_recorder(recorder, static_cast<uint32_t>(id));
     }
@@ -336,7 +313,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     }
 
     // Network impairments, seeded independently of the arm. Clean paths
-    // (the common case in pooled sweeps) skip the composite allocation
+    // (the common case in sweeps) skip the composite allocation
     // entirely.
     {
       const bool ge_loss =
@@ -401,17 +378,12 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
 
     stats::LatencyTracker* latency =
         result != nullptr ? &result->latency : nullptr;
-    std::optional<http::ServerApp> local_app;
-    if (arena) {
-      if (!arena->app) {
-        arena->app.emplace(sim, conn, sample.responses, latency);
-      } else {
-        arena->app->reset(sample.responses, latency);
-      }
+    if (!arena.app) {
+      arena.app.emplace(sim, conn, sample.responses, latency);
     } else {
-      local_app.emplace(sim, conn, sample.responses, latency);
+      arena.app->reset(sample.responses, latency);
     }
-    http::ServerApp& app = arena ? *arena->app : *local_app;
+    http::ServerApp& app = *arena.app;
     if (sample.client_abandons) {
       sim.schedule_in(sample.abandon_after,
                       [&conn] { conn.path().kill_client(); });
@@ -458,8 +430,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
             static_cast<double>(conn.sender().loss_recovery_time().ms());
         cap.aborted = conn.sender().aborted();
       }
-      RegistryHandles local_handles;
-      RegistryHandles& handles = arena ? arena->handles : local_handles;
+      RegistryHandles& handles = arena.handles;
       if (handles.owner != &result->registry) {
         handles.bind(result->registry);
       }
@@ -515,7 +486,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
 void run_connection_range(const workload::Population& pop,
                           const ArmConfig& arm, const RunOptions& opts,
                           uint64_t begin, uint64_t end, ArmResult& result,
-                          ConnArena* arena,
+                          ConnArena& arena,
                           const obs::CapturePolicy* capture,
                           obs::StoreWriter* store_writer) {
   // One ring per shard, cleared between connections — the sweep's trace
@@ -532,7 +503,7 @@ void run_connection_range(const workload::Population& pop,
   // The previous range's shard (and its registry) is gone by now, and its
   // successor may occupy the same address — cached instrument handles
   // must not survive the boundary.
-  if (arena) arena->handles.invalidate();
+  arena.handles.invalidate();
   for (uint64_t id = begin; id < end; ++id) {
     ConnectionOutcome outcome = run_one_connection(
         pop, arm, opts, id, /*force_check=*/false, &result,
@@ -573,10 +544,10 @@ void run_connection_range(const workload::Population& pop,
     result.invariant_violations += rec.violations.size();
     result.quarantined.push_back(std::move(rec));
   }
-  // The pooled arena outlives this range's ring; a timer the last
+  // The arena outlives this range's ring; a timer the last
   // connection left armed would otherwise trace its cancel into the dead
   // ring when the arena is reset or destroyed.
-  if (arena && arena->conn) arena->conn->sender().set_recorder(nullptr, 0);
+  if (arena.conn) arena.conn->sender().set_recorder(nullptr, 0);
 }
 
 int resolve_threads(const RunOptions& opts) {
@@ -598,6 +569,7 @@ TracedConnection trace_connection(const workload::Population& pop,
   // A listener captures the full stream (and feeds the episode builder)
   // as records are written, so the result is not capped by the ring.
   obs::FlightRecorder recorder(opts.trace_ring_records);
+  ConnArena arena;
   obs::EpisodeBuilder builder({.keep_ledgers = true});
   recorder.add_listener(
       [&out, &builder, max_records](const obs::TraceRecord& r) {
@@ -612,8 +584,12 @@ TracedConnection trace_connection(const workload::Population& pop,
   traced.collect_episodes = false;  // the local builder handles episodes
   ConnectionOutcome outcome = run_one_connection(
       pop, arm, traced, id, /*force_check=*/false,
-      /*result=*/nullptr, &recorder, /*arena=*/nullptr,
+      /*result=*/nullptr, &recorder, arena,
       /*capture=*/nullptr, /*encoder=*/nullptr);
+  // Tearing the arena down stops any timer the connection left armed;
+  // detached first, that cancel reaches neither `out` nor the builder
+  // (which dies before the arena).
+  if (arena.conn) arena.conn->sender().set_recorder(nullptr, 0);
   builder.finish();
   out.episodes = builder.episodes();
   out.aborted = outcome.aborted;
@@ -667,11 +643,9 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   };
 
   if (threads == 1) {
-    std::optional<ConnArena> arena;
-    if (opts.pool_connections) arena.emplace();
-    run_connection_range(pop, arm, opts, first, first + n, result,
-                         arena ? &*arena : nullptr, capture,
-                         writer ? &*writer : nullptr);
+    ConnArena arena;
+    run_connection_range(pop, arm, opts, first, first + n, result, arena,
+                         capture, writer ? &*writer : nullptr);
     finish_store();
     return result;
   }
@@ -682,7 +656,7 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   // folds shards into `result` in chunk order — ascending connection-id
   // order, the serial aggregation bit for bit — while keeping only a
   // bounded reorder window of shards alive, so sweep memory is
-  // O(threads + fold_window) regardless of n. The ceil in the chunk-size
+  // O(threads) regardless of n. The ceil in the chunk-size
   // formula guarantees num_chunks <= threads * 8 (the floor form
   // degenerated to chunk_size 1 — one shard per connection — whenever
   // n < threads * 8).
@@ -690,9 +664,9 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
   const uint64_t chunk_size =
       std::max<uint64_t>(1, (n + target_chunks - 1) / target_chunks);
   const uint64_t num_chunks = (n + chunk_size - 1) / chunk_size;
-  const uint64_t window =
-      opts.fold_window > 0 ? opts.fold_window
-                           : 2 * static_cast<uint64_t>(threads);
+  // Reorder window: how many chunks a worker may run ahead of the fold
+  // frontier.
+  const uint64_t window = 2 * static_cast<uint64_t>(threads);
   // The fold callback runs shards in ascending connection-id order, so
   // flushing each shard's captured blocks to the writer right there
   // reproduces the serial file byte for byte at any thread count.
@@ -706,8 +680,7 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
       });
 
   auto worker = [&] {
-    std::optional<ConnArena> arena;
-    if (opts.pool_connections) arena.emplace();
+    ConnArena arena;
     uint64_t c = 0;
     while (folder.claim(c)) {
       ArmResult shard;
@@ -715,9 +688,8 @@ ArmResult run_arm(const workload::Population& pop, const ArmConfig& arm,
       shard.recovery_log.set_bounded(opts.bounded_stats);
       const uint64_t begin = first + c * chunk_size;
       const uint64_t end = std::min(first + n, begin + chunk_size);
-      run_connection_range(pop, arm, opts, begin, end, shard,
-                           arena ? &*arena : nullptr, capture,
-                           /*store_writer=*/nullptr);
+      run_connection_range(pop, arm, opts, begin, end, shard, arena,
+                           capture, /*store_writer=*/nullptr);
       folder.submit(c, std::move(shard));
     }
   };
@@ -762,10 +734,13 @@ ReplayResult Experiment::replay(const ArmConfig& arm,
   if (record.trace_tail_records != 0) {
     opts.trace_tail_records = record.trace_tail_records;
   }
+  // The ring is declared before the arena, so it outlives the timer
+  // cancels that tearing the arena down may trace.
+  obs::FlightRecorder recorder(opts.trace_ring_records);
+  ConnArena arena;
   ConnectionOutcome outcome = run_one_connection(
       pop_, arm, opts, record.connection_id,
-      /*force_check=*/true, /*result=*/nullptr,
-      /*shared_recorder=*/nullptr, /*arena=*/nullptr,
+      /*force_check=*/true, /*result=*/nullptr, &recorder, arena,
       /*capture=*/nullptr, /*encoder=*/nullptr);
   replay.violations = std::move(outcome.violations);
   replay.exception = std::move(outcome.exception);

@@ -8,7 +8,9 @@
 // every connection's entire sample path derives from (seed, id), so
 // workers share no state, and per-chunk ArmResult accumulators merged in
 // connection-id order make the aggregates byte-identical to a serial run
-// at any thread count.
+// at any thread count. Each worker (and the serial run) recycles one
+// ConnArena across its connections (exp/conn_arena.h); one-off runs
+// (trace_connection, replay) use a fresh one.
 //
 // Production-scale safety net: with `RunOptions::check_invariants` every
 // connection runs under a tcp::InvariantChecker, and a connection that
@@ -98,12 +100,11 @@ struct QuarantineRecord {
   std::vector<tcp::InvariantViolation> violations;
   std::string exception;  // non-empty if the connection threw
   // Tail of the connection's flight recorder at the moment of failure
-  // (newest RunOptions::trace_tail_records records, oldest first). Empty
-  // in builds with tracing compiled out.
+  // (newest RunOptions::trace_tail_records records, oldest first).
   std::vector<obs::TraceRecord> trace_tail;
   // Recovery episodes reconstructed from the trace tail (ledgers kept):
   // the last one is the culprit — the episode in flight, or closest to,
-  // the moment of failure. Empty when tracing is compiled out.
+  // the moment of failure.
   std::vector<obs::RecoveryEpisode> episodes;
 
   std::string summary() const;
@@ -134,8 +135,7 @@ struct ArmResult {
   tcp::Metrics metrics;
   stats::RecoveryLog recovery_log;
   // Structured recovery episodes derived from each connection's trace
-  // stream (populated only with RunOptions::collect_episodes and tracing
-  // compiled in). Reconciles bit-exactly with `recovery_log` and
+  // stream (populated only with RunOptions::collect_episodes). Reconciles bit-exactly with `recovery_log` and
   // `metrics` — bench/episode_gate enforces it.
   obs::EpisodeTable episodes;
   stats::LatencyTracker latency;
@@ -236,17 +236,6 @@ struct RunOptions {
   // approximations (stats::LatencyTracker/RecoveryLog docs). Off by
   // default so existing consumers of the raw vectors are unaffected.
   bool bounded_stats = false;
-  // Reorder window, in chunks, for the streaming shard fold (how far a
-  // worker may run ahead of the fold frontier). Live shard memory is
-  // O(fold_window + threads) regardless of connection count. 0 = auto
-  // (2 * threads).
-  uint64_t fold_window = 0;
-  // Recycle one Simulator/Connection/ServerApp arena per worker across
-  // connections (the reset() protocol) instead of constructing fresh
-  // objects per connection. Behavior-identical — "fresh == reset by
-  // construction", enforced by digest tests — and roughly halves serial
-  // sweep cost; on by default.
-  bool pool_connections = true;
 
   // --- serial hot path (DESIGN.md §12) ---
   // Inert compatibility shim (see sim::SchedulerBackend): every run uses
@@ -257,7 +246,9 @@ struct RunOptions {
   // still advances to each segment's own timestamp before its hook) and
   // per-ACK timer rearms defer their queue push under a pre-drawn FIFO
   // seq. Observation-equivalent to per-event mode by construction; on by
-  // default because it is the serial-throughput win.
+  // default because it is the serial-throughput win. Per-event mode
+  // (false) is kept only as the reference oracle that tests,
+  // bench/scheduler_equivalence_gate and perfbench/ compare against.
   bool batch_delivery = true;
 
   // Attach a tcp::InvariantChecker to every connection and quarantine
@@ -272,19 +263,18 @@ struct RunOptions {
   int64_t inject_violation_connection = -1;
   uint64_t inject_violation_on_ack = 1;
 
-  // Attach a flight recorder to every connection (a no-op statement per
-  // instrumentation site in builds with PRR_TRACING=OFF). Checked and
-  // replayed connections get a recorder regardless, so quarantine
-  // artifacts always carry their event tail. Tracing never changes the
-  // simulation: aggregates stay byte-identical with it on or off.
+  // Attach a flight recorder to every connection. Checked and replayed
+  // connections get a recorder regardless, so quarantine artifacts always
+  // carry their event tail. Tracing never changes the simulation:
+  // aggregates stay byte-identical with it on or off.
   bool trace = false;
   uint32_t trace_ring_records = 2048;  // ring capacity per connection
   uint32_t trace_tail_records = 256;   // tail kept on quarantine/replay
   // Fold every connection's trace stream into ArmResult::episodes (a
   // recorder is attached regardless of `trace`, so the table is
-  // identical with tracing on or off; a no-op when tracing is compiled
-  // out). Episodes are built from a listener on the recorder, so ring
-  // wrap cannot cost episodes on long connections.
+  // identical with tracing on or off). Episodes are built from a
+  // listener on the recorder, so ring wrap cannot cost episodes on long
+  // connections.
   bool collect_episodes = false;
   // --- trace store (DESIGN.md §14) ---
   // When non-empty, persist selected connections' trace rings to a
@@ -328,7 +318,7 @@ struct ReplayResult {
   bool all_acked = false;
   uint64_t acks_checked = 0;
   // Recorder tail from the replayed connection (always captured on a
-  // failing replay; empty when tracing is compiled out).
+  // failing replay).
   std::vector<obs::TraceRecord> trace_tail;
 
   // The replay saw the same failure class the original run recorded.

@@ -183,8 +183,7 @@ bool StoreWriter::open(const std::string& path, const StoreMeta& meta) {
   std::setvbuf(f_, reinterpret_cast<char*>(buf_.data()), _IOFBF,
                buf_.size());
   path_ = path;
-  std::vector<uint8_t> header;
-  header.insert(header.end(), kStoreMagic, kStoreMagic + 8);
+  std::vector<uint8_t> header(kStoreMagic, kStoreMagic + 8);
   put_u32le(header, meta.version);
   put_u32le(header, 0);  // header flags, reserved
   put_varint(header, meta.seed);

@@ -68,9 +68,8 @@ struct CampaignFailure {
   std::vector<std::string> kinds;  // failure signature (sorted, unique)
   std::string summary;             // human-readable original finding
   // Perfetto JSON of the original quarantine's trace tail (empty for
-  // cross-arm divergences and in builds with tracing compiled out);
-  // excluded from summary_json() so the summary stays deterministic
-  // across trace configurations.
+  // cross-arm divergences); excluded from summary_json() so the summary
+  // stays deterministic across trace configurations.
   std::string trace_json;
   ReproCase repro;                 // minimized when shrinking succeeded
   bool repro_verified = false;     // the (minimized) repro reproduces

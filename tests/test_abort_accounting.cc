@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
-#include "obs/flight_recorder.h"
 #include "tcp/invariants.h"
 #include "workload/population.h"
 
@@ -105,9 +104,6 @@ TEST(AbortAccounting, EpisodeTableStillReconcilesWithAnAbortedConnection) {
   EXPECT_EQ(res.metrics.connections_aborted, 1u);
   EXPECT_GT(res.metrics.timeouts_total, 0u);
 
-  // Episode tables come from a recorder listener, which compiles away
-  // with PRR_TRACING=OFF.
-  if (!obs::trace_compiled_in()) return;
   // Episodes cut short by the abort are still closed out, the table's
   // stream counters mirror the sender's own metrics exactly, and every
   // row is well-formed.

@@ -1,9 +1,9 @@
-// Pooled-connection determinism: RunOptions::pool_connections recycles
-// one Simulator/Connection/ServerApp arena per worker through the
-// reset() protocol, and "fresh == reset by construction" means a pooled
-// sweep must reproduce an unpooled sweep exactly — every counter, every
-// sample vector, every quarantine record — on clean and chaotic
-// populations alike, serial and parallel.
+// Pooled-connection determinism: a sweep recycles one Simulator/
+// Connection/ServerApp arena per worker through the reset() protocol, and
+// "fresh == reset by construction" means it must reproduce the fresh
+// reference (each id as its own run_arm, merged in id order) exactly —
+// every counter, every sample vector, every quarantine record — on clean
+// and chaotic populations alike, serial and parallel.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -11,6 +11,7 @@
 
 #include "exp/experiment.h"
 #include "exp/scenarios.h"
+#include "fresh_reference.h"
 #include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
@@ -67,10 +68,10 @@ void expect_identical(const ArmResult& fresh, const ArmResult& pooled) {
   }
 }
 
-ArmResult run(const workload::Population& pop, RunOptions opts,
+ArmResult run(const workload::Population& pop, const RunOptions& opts,
               bool pool) {
-  opts.pool_connections = pool;
-  return run_arm(pop, ArmConfig::prr_arm(), opts);
+  return pool ? run_arm(pop, ArmConfig::prr_arm(), opts)
+              : run_fresh_per_id(pop, ArmConfig::prr_arm(), opts);
 }
 
 TEST(ConnArena, PooledEqualsFreshWeb) {

@@ -2,8 +2,7 @@
 // hand-driven single-loss recovery, field-exact reconciliation against
 // stats::RecoveryLog and tcp::Metrics on a real sweep, and the
 // determinism contract (thread count and tracing must not change the
-// table). Skipped wholesale when tracing is compiled out — episode
-// collection is defined to be a no-op there.
+// table).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -26,12 +25,6 @@ constexpr uint32_t kMss = 1000;
 
 class EpisodeBuilderTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!trace_compiled_in()) {
-      GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-    }
-  }
-
   void make(tcp::RecoveryKind kind) {
     tcp::SenderConfig cfg;
     cfg.mss = kMss;
@@ -193,12 +186,6 @@ TEST_F(EpisodeBuilderTest, StreamEndMidRecoveryTruncates) {
 
 class EpisodeSweepTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    if (!trace_compiled_in()) {
-      GTEST_SKIP() << "tracing compiled out (PRR_TRACING=OFF)";
-    }
-  }
-
   static exp::RunOptions base_opts() {
     exp::RunOptions opts;
     opts.connections = 600;

@@ -1,17 +1,16 @@
 // Trace-store files are a pure function of (population, arm, seed,
 // capture policy): byte-identical across worker-thread counts, with
-// tracing on or off, with pooling on or off, and across the split-run +
-// merge path. This is the contract that makes store artifacts diffable
+// tracing on or off, and across the split-run + merge path. This is the contract that makes store artifacts diffable
 // and lets fork-per-shard sweeps reproduce the single-process file.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.h"
-#include "obs/flight_recorder.h"
 #include "obs/store/store_format.h"
 #include "obs/store/store_reader.h"
 #include "workload/video_workload.h"
@@ -73,10 +72,6 @@ TEST(StoreDeterminism, IndependentOfOtherObservability) {
   traced.collect_episodes = true;
   EXPECT_EQ(store_bytes(traced, "traced.prrstore"), plain);
 
-  exp::RunOptions unpooled = base_opts();
-  unpooled.pool_connections = false;
-  EXPECT_EQ(store_bytes(unpooled, "unpooled.prrstore"), plain);
-
   exp::RunOptions bounded = base_opts();
   bounded.bounded_stats = true;
   bounded.threads = 4;
@@ -123,12 +118,6 @@ TEST(StoreDeterminism, PooledTimersDoNotLeakIntoNextConnection) {
     EXPECT_TRUE(store_bytes(opts, "video_t.prrstore", pop) == serial)
         << "threads=" << threads;
   }
-
-  // With tracing compiled out the stores above are header-only, which
-  // still must agree; there are no records to read back below.
-  if (!obs::trace_compiled_in()) {
-    GTEST_SKIP() << "tracing compiled out";
-  }
   // A ring that never wraps: a wrapped block starts at an arbitrary
   // record, which may legitimately be a timer_cancel, and would already
   // have overwritten a leaked leading one.
@@ -149,6 +138,15 @@ TEST(StoreDeterminism, PooledTimersDoNotLeakIntoNextConnection) {
     ASSERT_FALSE(records.empty());
     EXPECT_NE(records.front().type, obs::TraceType::kTimerCancel)
         << "conn " << conn << " starts with a timer_cancel";
+    // The live re-run in a fresh arena records the same stream: tearing
+    // that arena down must not trace a trailing timer_cancel either.
+    const exp::TracedConnection live =
+        exp::trace_connection(pop, exp::ArmConfig::prr_arm(), opts, conn);
+    ASSERT_EQ(live.records.size(), records.size()) << "conn " << conn;
+    EXPECT_EQ(std::memcmp(live.records.data(), records.data(),
+                          records.size() * sizeof(obs::TraceRecord)),
+              0)
+        << "conn " << conn;
   }
 }
 

@@ -2,8 +2,8 @@
 // merged into the arm accumulator in ascending connection-id order as
 // soon as their predecessor has merged, holding only a bounded reorder
 // window of shards alive — and every aggregate stays byte-identical to
-// the serial run at any thread count, any fold window, and in either
-// stats mode.
+// the serial run at any thread count and in either stats mode; the
+// folder itself is checked at several windows.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -130,6 +130,8 @@ uint64_t digest(const ArmResult& r) {
   return h;
 }
 
+// The harness's fold window is always 2 * threads; StreamFolder.* above
+// covers other windows (window 1 included) directly.
 TEST(StreamingFold, ThreadAndWindowInvariantDigests) {
   workload::WebWorkload pop;
   RunOptions opts;
@@ -137,13 +139,10 @@ TEST(StreamingFold, ThreadAndWindowInvariantDigests) {
   opts.seed = 77;
   opts.threads = 1;
   const uint64_t serial = digest(run_arm(pop, ArmConfig::prr_arm(), opts));
-  for (int threads : {4, 8}) {
-    for (uint64_t window : {1ull, 2ull, 64ull}) {
-      opts.threads = threads;
-      opts.fold_window = window;
-      EXPECT_EQ(serial, digest(run_arm(pop, ArmConfig::prr_arm(), opts)))
-          << "threads=" << threads << " window=" << window;
-    }
+  for (int threads : {2, 4, 8}) {
+    opts.threads = threads;
+    EXPECT_EQ(serial, digest(run_arm(pop, ArmConfig::prr_arm(), opts)))
+        << "threads=" << threads;
   }
 }
 

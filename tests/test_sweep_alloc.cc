@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/experiment.h"
+#include "fresh_reference.h"
 #include "util/alloc_counter.h"
 #include "workload/web_workload.h"
 
@@ -33,10 +34,10 @@ uint64_t allocs_during_sweep(const workload::Population& pop,
   opts.connections = connections;
   opts.seed = 1234;
   opts.threads = 1;
-  opts.pool_connections = pool;
   opts.bounded_stats = bounded;
   const util::AllocCounts before = util::alloc_counts();
-  const ArmResult r = run_arm(pop, ArmConfig::prr_arm(), opts);
+  const ArmResult r = pool ? run_arm(pop, ArmConfig::prr_arm(), opts)
+                           : run_fresh_per_id(pop, ArmConfig::prr_arm(), opts);
   const util::AllocCounts after = util::alloc_counts();
   EXPECT_EQ(r.connections_run, static_cast<uint64_t>(connections));
   return after.allocations - before.allocations;
@@ -64,9 +65,10 @@ TEST(SweepAlloc, WarmPooledSweepIsAllocationFreePerConnection) {
 }
 
 TEST(SweepAlloc, UnpooledSweepAllocatesPerConnection) {
-  // Sanity check that the instrument measures what we think: without
-  // arenas, every connection constructs a Simulator/Connection/Path from
-  // scratch and the marginal cost is tens of allocations each.
+  // Sanity check that the instrument measures what we think: the fresh
+  // reference runs every connection in a brand-new arena, constructing a
+  // Simulator/Connection/Path from scratch, so the marginal cost is tens
+  // of allocations each.
   ASSERT_TRUE(util::alloc_counting_enabled());
   workload::WebWorkload pop(clean_params());
   const uint64_t small =
