@@ -66,12 +66,16 @@ BENCHMARK(BM_PrrOnAck);
 // Steady-state event churn: schedule + fire (the Link/Timer pattern)
 // and a timer-style reschedule, on a warm queue. Both must report
 // allocs_per_op == 0 — the slot map recycles storage, and the stale
-// entries each reschedule strands are compacted away in place.
+// entries each reschedule strands are compacted away in place. Each
+// runs its loop body untimed first, so the slot and heap vectors reach
+// their steady capacity before allocations are counted.
+constexpr int kQueueWarmupOps = 1024;
+
 void BM_EventSchedule(benchmark::State& state) {
   prr::sim::EventQueue q;
   int64_t now_us = 0;
   uint64_t fired = 0;
-  // Warm the slot and heap vectors with a standing population.
+  // A standing population far in the future.
   std::vector<prr::sim::EventId> standing;
   for (int i = 0; i < 64; ++i) {
     standing.push_back(q.schedule(
@@ -79,8 +83,7 @@ void BM_EventSchedule(benchmark::State& state) {
           ++fired;
         }));
   }
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
+  const auto op = [&] {
     q.schedule(prr::sim::Time::microseconds(now_us + 10),
                [&fired] { ++fired; });
     ++now_us;
@@ -88,7 +91,10 @@ void BM_EventSchedule(benchmark::State& state) {
            q.next_time() <= prr::sim::Time::microseconds(now_us)) {
       q.run_next();
     }
-  }
+  };
+  for (int i = 0; i < kQueueWarmupOps; ++i) op();
+  AllocsPerOp allocs(state);
+  for (auto _ : state) op();
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventSchedule);
@@ -99,11 +105,13 @@ void BM_EventReschedule(benchmark::State& state) {
   prr::sim::EventId id =
       q.schedule(prr::sim::Time::microseconds(1), [&fired] { ++fired; });
   int64_t at = 1;
-  AllocsPerOp allocs(state);
-  for (auto _ : state) {
+  const auto op = [&] {
     id = q.reschedule(id, prr::sim::Time::microseconds(++at));
     benchmark::DoNotOptimize(id);
-  }
+  };
+  for (int i = 0; i < kQueueWarmupOps; ++i) op();
+  AllocsPerOp allocs(state);
+  for (auto _ : state) op();
   benchmark::DoNotOptimize(fired);
 }
 BENCHMARK(BM_EventReschedule);
@@ -243,6 +251,71 @@ void BM_ScoreboardCounters(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ScoreboardCounters)->Arg(32)->Arg(128)->Arg(512);
+
+// One steady fast-recovery ACK on a window of `window` segments, as the
+// sender processes it: the cumulative ACK pops the head and one new
+// segment goes out at the tail; three SACK blocks report the newest
+// delivered runs (one segment newly SACKed, two repeats);
+// update_loss_marks (FACK) exposes the next hole; then retransmit
+// candidates are looked up and sent until none is left under cwnd. The
+// lower half of the window is SACKed data with every fourth segment a
+// retransmitted hole; the upper half is in flight. Per-ACK time should
+// be flat across window sizes, with allocs_per_op == 0.
+class RecoveryAckModel {
+ public:
+  explicit RecoveryAckModel(int window)
+      : window_(static_cast<uint64_t>(window)), sb_(kMss) {
+    sb_.reset(0);
+    for (uint64_t i = 0; i < window_; ++i) transmit();
+    // Settle into the steady layout before anything is measured.
+    for (uint64_t i = 0; i < 2 * window_; ++i) ack();
+  }
+
+  void ack() {
+    now_ += prr::sim::Time::microseconds(100);
+    transmit();
+    ++head_;
+    prr::net::Segment a;
+    a.is_ack = true;
+    a.ack = seq(head_);
+    // Segment n is delivered unless n % 4 == 0; the delivery front
+    // trails the tail by half a window.
+    const uint64_t front = head_ + window_ / 2;
+    uint64_t hi = front;
+    for (int b = 0; b < 3; ++b) {
+      const uint64_t lo = hi - hi % 4 + 1;  // first delivered of the run
+      if (hi % 4 != 0 && lo >= head_) a.sacks.push_back({seq(lo), seq(hi + 1)});
+      hi = hi - hi % 4 - 1;
+    }
+    benchmark::DoNotOptimize(sb_.on_ack(a, now_, true));
+    benchmark::DoNotOptimize(sb_.update_loss_marks(3, true, true));
+    while (const prr::tcp::SegRecord* c = sb_.next_retransmit_candidate()) {
+      if (sb_.pipe() + c->len() > cwnd()) break;
+      sb_.on_retransmit(c->start, now_, seq(next_), true);
+    }
+  }
+
+ private:
+  static uint64_t seq(uint64_t n) { return n * kMss; }
+  uint64_t cwnd() const { return window_ * kMss; }
+  void transmit() {
+    sb_.on_transmit(seq(next_), seq(next_ + 1), now_);
+    ++next_;
+  }
+
+  uint64_t window_;
+  prr::tcp::Scoreboard sb_;
+  uint64_t head_ = 0;  // segment index at snd.una
+  uint64_t next_ = 0;  // segment index at snd.nxt
+  prr::sim::Time now_ = prr::sim::Time::zero();
+};
+
+void BM_ScoreboardRecoveryAck(benchmark::State& state) {
+  RecoveryAckModel model(static_cast<int>(state.range(0)));
+  AllocsPerOp allocs(state);
+  for (auto _ : state) model.ack();
+}
+BENCHMARK(BM_ScoreboardRecoveryAck)->Arg(64)->Arg(512)->Arg(2048);
 
 // Full connection (100 kB over a clean 10 Mbps / 40 ms path), with the
 // invariant checker off (Arg 0) vs attached (Arg 1). Arg 0 must match

@@ -18,7 +18,6 @@
 #include "net/reorder_model.h"
 #include "obs/flight_recorder.h"
 #include "obs/perfetto.h"
-#include "obs/self_profile.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 #include "torture/oracles.h"
@@ -306,12 +305,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     const tcp::Metrics metrics_before =
         result != nullptr ? result->metrics : tcp::Metrics{};
 
-    obs::SelfProfiler profiler;
-    if (opts.self_profile && result != nullptr) {
-      profiler.attach(sim);
-      profiler.attach(conn.sender());
-    }
-
     // Network impairments, seeded independently of the arm. Clean paths
     // (the common case in sweeps) skip the composite allocation
     // entirely.
@@ -445,7 +438,6 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
         handles.trace_records_written->add(recorder->total_written());
         handles.trace_records_dropped->add(recorder->dropped());
       }
-      if (opts.self_profile) profiler.export_into(result->registry);
     }
   } catch (const std::exception& e) {
     outcome.exception = e.what();

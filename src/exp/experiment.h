@@ -174,10 +174,9 @@ struct ArmResult {
 
   // Named-instrument view of the arm (DESIGN.md §8): per-connection
   // counters/histograms under "tcp." and "exp.", recorder accounting
-  // under "obs.trace." (only when tracing ran), wall-clock profiles
-  // under "profile." (only with RunOptions::self_profile). The "tcp."
-  // and "exp." sections are deterministic — identical at any thread
-  // count and with tracing on or off — and the counter totals reconcile
+  // under "obs.trace." (only when tracing ran). The "tcp." and "exp."
+  // sections are deterministic — identical at any thread count and
+  // with tracing on or off — and the counter totals reconcile
   // exactly with `metrics` (checked in CI by tools/obs_chaos_trace).
   obs::MetricsRegistry registry;
 
@@ -289,11 +288,6 @@ struct RunOptions {
   // "all", "sample=64,full=timeout". Parsed by run_arm; a malformed spec
   // throws std::invalid_argument before any connection runs.
   std::string capture = "all";
-
-  // Wall-clock self-profiling (event-slice and per-ACK cost histograms)
-  // into ArmResult::registry under "profile.". Nondeterministic by
-  // nature; off by default so the registry stays reproducible.
-  bool self_profile = false;
 
   // --- torture engine (torture/) ---
   // Arm the progress/conservation/termination oracles on every checked

@@ -105,8 +105,9 @@ class Simulator {
   // across connections.
   void reset();
 
-  // Self-profiling tap (obs::SelfProfiler): when set, step() wall-clock
-  // times each event callback and reports the duration in nanoseconds.
+  // Self-profiling tap (perfbench's layer ledger): when set, step()
+  // wall-clock times each event callback and reports the duration in
+  // nanoseconds.
   // Unset (the default), step() pays one branch and takes no clock
   // readings, so simulation behavior and performance are untouched.
   void set_slice_profiler(std::function<void(int64_t ns)> profiler) {

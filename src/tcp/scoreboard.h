@@ -14,12 +14,24 @@
 // Accounting is incremental: running byte/segment tallies are updated at
 // the points records change state, so pipe(), total_sacked_bytes(),
 // sacked_segment_count(), lost_segment_count() and any_sacked() are O(1)
-// per call instead of O(window) scans. find() is a binary search over the
-// start-sorted records_ ring. A randomized differential test
-// (test_scoreboard_differential.cc) checks every tally against a brute-
-// force recomputation after each operation.
+// per call instead of O(window) scans.
+//
+// The per-ACK walks touch only what the ACK changed, in the manner of
+// Linux's tcp_sacktag_walk and its lost/retransmit skb hints: each SACK
+// block binary-searches its first record in the start-sorted records_
+// ring; lost-retransmit detection reads a queue of in-flight
+// retransmissions ordered by marker; next_retransmit_candidate() and
+// update_loss_marks() resume from hints (see the members below). Cost is
+// O(records changed + log window) per ACK.
+//
+// A randomized differential test (test_scoreboard_differential.cc)
+// checks every tally against a brute-force recomputation, and every
+// decision (record flags, AckOutcome, loss marks, candidate queries)
+// against a linear-walk reference scoreboard, after each operation.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -177,6 +189,36 @@ class Scoreboard {
   void clear_retransmitted(SegRecord& r);
   void account_remove(const SegRecord& r);
 
+  using RecordIter = util::RingQueue<SegRecord>::iterator;
+  // Steps past SACKed record `it` in a block walk: to the first record
+  // ending past the cached block wholly containing `it`, or by one if
+  // no cached block does.
+  RecordIter skip_sacked(RecordIter it);
+
+  // An in-flight retransmission: the record's start and its marker.
+  struct RetxEntry {
+    uint64_t start = 0;
+    uint64_t marker = 0;
+  };
+  void queue_retransmission(const SegRecord& r);
+  // The record `e` names if that retransmission is still in flight
+  // (retransmitted, unSACKed, same marker); nullptr if `e` is stale.
+  SegRecord* live_retransmission(const RetxEntry& e);
+  // Widens [retransmit_hint_, retransmit_ceiling_) to cover a record
+  // that may have just become a retransmit candidate.
+  void note_candidate(uint64_t start) {
+    if (retransmit_hint_ >= retransmit_ceiling_) {
+      retransmit_hint_ = start;
+      retransmit_ceiling_ = start + 1;
+    } else {
+      retransmit_hint_ = std::min(retransmit_hint_, start);
+      retransmit_ceiling_ = std::max(retransmit_ceiling_, start + 1);
+    }
+  }
+  void lower_loss_frontier(uint64_t seq) {
+    loss_frontier_ = std::min(loss_frontier_, seq);
+  }
+
   uint32_t mss_;
   uint64_t snd_una_ = 0;
   uint64_t highest_sacked_end_ = 0;
@@ -194,6 +236,31 @@ class Scoreboard {
   uint64_t retransmitted_in_flight_bytes_ = 0;  // retransmitted && !sacked
   int sacked_segs_ = 0;
   int lost_segs_ = 0;
+
+  // Hints that let per-ACK queries skip records whose state they already
+  // know. Each may err toward visiting more records, never fewer; see
+  // DESIGN.md §6 "Hints".
+  //   [retransmit_hint_, retransmit_ceiling_): every retransmit
+  //     candidate (lost && !sacked && !retransmitted) starts in it.
+  //     Widened by the helpers that can create a candidate; the lookup
+  //     raises the hint to the candidate it returns, or to the ceiling
+  //     when there is none.
+  //   loss_frontier_: every unSACKed record starting below it is lost.
+  //     Lowered by the helpers that can create an unSACKed, unlost
+  //     record; raised by update_loss_marks.
+  //   retx_queue_: one entry per in-flight retransmission (every
+  //     retransmitted, unSACKed record with a nonzero marker), sorted by
+  //     marker, plus stale entries that are dropped when they reach the
+  //     front.
+  //   sack_cache_: the previous ACK's SACK blocks (clipped to the tail
+  //     then). Every record wholly inside one is SACKed; clear_sacked
+  //     and reset empty it.
+  mutable uint64_t retransmit_hint_ = 0;
+  uint64_t retransmit_ceiling_ = 0;
+  uint64_t loss_frontier_ = 0;
+  util::RingQueue<RetxEntry> retx_queue_;
+  std::array<net::SackBlock, 4> sack_cache_{};
+  std::size_t sack_cache_len_ = 0;
 };
 
 }  // namespace prr::tcp

@@ -185,8 +185,8 @@ class Sender {
   // (torture/oracles.h): during a blackhole no ACKs arrive, so a per-ACK
   // hook would never see the stall.
   std::function<void(uint64_t, int)> on_rto_hook;
-  // Self-profiling tap (obs::SelfProfiler): wall-clock nanoseconds spent
-  // processing each ACK. When unset, on_ack_segment takes no clock
+  // Self-profiling tap (perfbench's layer ledger): wall-clock
+  // nanoseconds spent processing each ACK. When unset, on_ack_segment takes no clock
   // readings.
   std::function<void(int64_t)> on_ack_cost_hook;
 
