@@ -36,9 +36,9 @@ int main() {
     exp::FigureRun run = exp::run_figure_scenario(s);
     uint64_t max_burst = 0;
     sim::Time end;
-    for (const auto& e : run.recovery_log.events()) {
+    for (const auto& e : run.recovery_log.rows()) {
       max_burst = std::max(max_burst, e.max_burst_segments);
-      end = e.end;
+      end = e.end();
     }
     fig.add_row({name, std::to_string(run.metrics.retransmits_total),
                  std::to_string(run.metrics.timeouts_total),

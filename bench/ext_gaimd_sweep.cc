@@ -36,15 +36,15 @@ std::pair<double, std::size_t> realized_ratio(const Point& p,
   cfg.sender.handshake_rtt = sim::Time::milliseconds(80);
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(8),
                                           sim::Time::milliseconds(80), 300);
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   tcp::Connection conn(sim, cfg, sim::Rng(seed), nullptr, &rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.004, sim::Rng(seed + 1)));
   conn.write(3'000'000);
   sim.run(sim::Time::seconds(900));
   util::Samples ratios;
-  for (const auto& e : rlog.events()) {
-    if (!e.completed || e.interrupted_by_timeout || e.cwnd_at_start == 0)
+  for (const auto& e : rlog.rows()) {
+    if (!e.completed() || e.interrupted_by_timeout() || e.cwnd_at_start == 0)
       continue;
     ratios.add(static_cast<double>(e.cwnd_after_exit) /
                static_cast<double>(e.cwnd_at_start));

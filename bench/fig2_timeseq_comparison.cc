@@ -25,13 +25,13 @@ void run_and_print(const char* label, tcp::RecoveryKind kind) {
       exp::run_figure_scenario(exp::FigureScenario::fig2(kind));
   std::printf("---- %s ----\n", label);
   std::printf("%s\n", run.trace.render_ascii(64).c_str());
-  const auto& e = run.recovery_log.events().empty()
-                      ? stats::RecoveryEvent{}
-                      : run.recovery_log.events().front();
+  const auto& e = run.recovery_log.rows().empty()
+                      ? obs::EpisodeSummary{}
+                      : run.recovery_log.rows().front();
   std::printf(
       "recovery: %lld..%lld ms  ssthresh=%.0f segs  cwnd after exit=%.0f "
       "segs  retransmits=%llu\n",
-      (long long)e.start.ms(), (long long)e.end.ms(),
+      (long long)e.start().ms(), (long long)e.end().ms(),
       (double)e.ssthresh / 1000.0, e.cwnd_after_exit_segs(),
       (unsigned long long)e.retransmits);
   std::printf("second write (10 kB at 500 ms) fully ACKed at %lld ms\n\n",

@@ -24,7 +24,7 @@ int main() {
         exp::run_figure_scenario(exp::FigureScenario::fig3(kind));
     std::printf("---- %s ----\n", name);
     std::printf("%s\n", run.trace.render_ascii(64).c_str());
-    const auto& events = run.recovery_log.events();
+    const auto& events = run.recovery_log.rows();
     uint64_t max_burst = 0;
     for (const auto& e : events)
       max_burst = std::max(max_burst, e.max_burst_segments);

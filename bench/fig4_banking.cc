@@ -19,11 +19,11 @@ int main() {
   exp::FigureRun run = exp::run_figure_scenario(
       exp::FigureScenario::fig4(tcp::RecoveryKind::kPrr));
   std::printf("%s\n", run.trace.render_ascii(64).c_str());
-  const auto& e = run.recovery_log.events().at(0);
+  const auto& e = run.recovery_log.rows().at(0);
   std::printf(
       "recovery %lld..%lld ms  retransmits=%llu  catch-up burst=%llu "
       "segments (bounded, not the whole backlog)\n",
-      (long long)e.start.ms(), (long long)e.end.ms(),
+      (long long)e.start().ms(), (long long)e.end().ms(),
       (unsigned long long)e.retransmits,
       (unsigned long long)e.max_burst_segments);
   std::printf("all data ACKed at %lld ms, timeouts=%llu\n",

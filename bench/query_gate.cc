@@ -71,7 +71,7 @@ exp::RunOptions base_opts() {
   opts.scenario = "query_gate/chaos";
   // Reconciliation is only exact when no ring wraps: a wrapped ring
   // stores a (flagged) suffix of the stream, while the registry and the
-  // listener-fed live episode table see everything. Size the ring so no
+  // sender-fed live episode table see everything. Size the ring so no
   // chaos connection wraps; section 3 asserts zero truncated blocks.
   opts.trace_ring_records = 1 << 16;
   return opts;
@@ -131,7 +131,6 @@ int main() {
       exp::RunOptions opts = ref_opts;
       opts.threads = threads;
       opts.trace = trace;
-      opts.collect_episodes = trace;
       char name[64];
       std::snprintf(name, sizeof(name), "qgate_t%d_tr%d.prrstore", threads,
                     trace ? 1 : 0);
@@ -189,22 +188,16 @@ int main() {
                "%llu ring-truncated block(s): raise trace_ring_records "
                "so reconciliation is exact\n",
                (unsigned long long)truncated);
-    exp::RunOptions live_opts = ref_opts;
-    live_opts.collect_episodes = true;
-    live_opts.store_path.clear();
-    const exp::ArmResult traced =
-        exp::run_arm(pop, exp::ArmConfig::prr_arm(), live_opts);
-
     obs::EpisodeTable from_store;
     std::string err;
     GATE_CHECK(obs::episodes_from_store(reader, obs::QueryFilter{},
                                         &from_store, &err),
                "episodes_from_store: %s\n", err.c_str());
-    GATE_CHECK(from_store.to_json() == traced.episodes.to_json(),
+    GATE_CHECK(from_store.to_json() == live.recovery_log.to_json(),
                "store-derived episode JSON != live episode JSON\n");
 
     const auto& s = from_store.stream();
-    const auto& m = traced.metrics;
+    const auto& m = live.metrics;
     GATE_CHECK(s.data_segments_sent == m.data_segments_sent,
                "data_segments_sent\n");
     GATE_CHECK(s.retransmits_total == m.retransmits_total,

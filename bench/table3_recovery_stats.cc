@@ -18,9 +18,9 @@ namespace {
 void print_dc(const char* name, const exp::ArmResult& r,
               const char* paper_col[5]) {
   // Every counter comes from the episode table (derived purely from
-  // trace records); bench/episode_gate checks it against tcp::Metrics.
-  const auto& m = r.episodes.stream();
-  const uint64_t fr_events = r.episodes.total();
+  // trace records); test_obs_episodes checks it against tcp::Metrics.
+  const auto& m = r.recovery_log.stream();
+  const uint64_t fr_events = r.recovery_log.total();
   auto ratio = [](uint64_t a, uint64_t b) {
     return b == 0 ? std::string("-")
                   : util::Table::fmt(static_cast<double>(a) /
@@ -62,7 +62,6 @@ int main() {
   web_opts.connections = 8000;
   web_opts.seed = 2;
   web_opts.threads = 0;  // parallel sweep: byte-identical to serial
-  web_opts.collect_episodes = true;
   exp::ArmResult dc1 =
       exp::run_arm(workload::WebWorkload(), exp::ArmConfig::linux_arm(),
                    web_opts);
@@ -73,7 +72,6 @@ int main() {
   video_opts.connections = 400;
   video_opts.seed = 3;
   video_opts.threads = 0;  // parallel sweep: byte-identical to serial
-  video_opts.collect_episodes = true;
   exp::ArmResult dc2 = exp::run_arm(workload::VideoWorkload(),
                                     exp::ArmConfig::linux_arm(), video_opts);
   const char* dc2_paper[5] = {"2.93", "4%", "1.4%", "9%", "3.1%"};

@@ -23,9 +23,8 @@ int main() {
   opts.connections = 12000;
   opts.seed = 5;
   opts.threads = 0;  // parallel sweep: byte-identical to serial
-  opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  const auto& tab = r.episodes;
+  const auto& tab = r.recovery_log;
   const double below = tab.fraction_start_below_ssthresh();
   const double equal = tab.fraction_start_equal_ssthresh();
   const double above = tab.fraction_start_above_ssthresh();
@@ -36,7 +35,7 @@ int main() {
   modes.add_row({"pipe > ssthresh  [proportional part]", "45%",
                  util::Table::fmt_pct(above)});
   std::printf("recovery events: %zu\n%s\n",
-              tab.finished(),
+              tab.count(),
               modes.to_string().c_str());
 
   util::Samples s = tab.pipe_minus_ssthresh_segs();

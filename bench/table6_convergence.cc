@@ -22,9 +22,8 @@ int main() {
   opts.connections = 12000;
   opts.seed = 5;
   opts.threads = 0;  // parallel sweep: byte-identical to serial
-  opts.collect_episodes = true;
   exp::ArmResult r = exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  util::Samples s = r.episodes.cwnd_minus_ssthresh_exit_segs();
+  util::Samples s = r.recovery_log.cwnd_minus_ssthresh_exit_segs();
 
   util::Table t({"quantile [%]", "paper [segs]", "measured [segs]"});
   const char* paper[] = {"-8", "-3", "0", "0", "0", "0", "0", "0"};

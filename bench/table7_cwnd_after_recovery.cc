@@ -21,14 +21,13 @@ int main() {
   opts.connections = 12000;
   opts.seed = 7;
   opts.threads = 0;  // parallel sweep: byte-identical to serial
-  opts.collect_episodes = true;
   auto results = exp::run_arms(pop, bench::three_way_arms(), opts);
 
   const std::vector<double> qs = {10, 25, 50, 75, 90, 95, 99};
   util::Table t({"arm", "q10", "q25", "q50", "q75", "q90", "q95", "q99",
                  "frac < 3 segs"});
   for (const auto& r : results) {
-    util::Samples s = r.episodes.cwnd_after_exit_segs();
+    util::Samples s = r.recovery_log.cwnd_after_exit_segs();
     auto row = bench::quantile_row(r.name, s, qs, 0);
     row.push_back(util::Table::fmt_pct(s.fraction_below(3.0)));
     t.add_row(row);

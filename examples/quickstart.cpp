@@ -30,11 +30,11 @@ int main() {
               (unsigned long long)run.metrics.timeouts_total);
   std::printf("all data ACKed at    : %lld ms\n",
               (long long)run.all_acked_at.ms());
-  for (const auto& e : run.recovery_log.events()) {
+  for (const auto& e : run.recovery_log.rows()) {
     std::printf(
         "recovery event: %lld..%lld ms, pipe@start=%llu B, "
         "ssthresh=%llu B, cwnd after exit=%.0f segments\n",
-        (long long)e.start.ms(), (long long)e.end.ms(),
+        (long long)e.start().ms(), (long long)e.end().ms(),
         (unsigned long long)e.pipe_at_start, (unsigned long long)e.ssthresh,
         e.cwnd_after_exit_segs());
   }

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                                           sample.queue_packets);
 
   tcp::Metrics metrics;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   tcp::Connection conn(sim, cfg, rng.fork(101), &metrics, &rlog);
   if (sample.loss.p_good_to_bad > 0) {
     conn.path().data_link().set_loss_model(
@@ -81,14 +81,14 @@ int main(int argc, char** argv) {
   util::Table t({"episode", "start [s]", "dur [ms]", "retx",
                  "burst [segs]", "cwnd after [segs]", "timeout?"});
   int i = 0;
-  for (const auto& e : rlog.events()) {
+  for (const auto& e : rlog.rows()) {
     if (++i > 12) break;  // first dozen is plenty for a demo
-    t.add_row({std::to_string(i), util::Table::fmt(e.start.seconds_d(), 1),
+    t.add_row({std::to_string(i), util::Table::fmt(e.start().seconds_d(), 1),
                util::Table::fmt(e.duration().ms_d(), 0),
                std::to_string(e.retransmits),
                std::to_string(e.max_burst_segments),
                util::Table::fmt(e.cwnd_after_exit_segs(), 0),
-               e.interrupted_by_timeout ? "yes" : "no"});
+               e.interrupted_by_timeout() ? "yes" : "no"});
   }
   std::printf("%s", t.to_string().c_str());
   return 0;

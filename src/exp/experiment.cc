@@ -27,7 +27,6 @@ namespace prr::exp {
 void ArmResult::merge(ArmResult&& shard) {
   metrics.merge(shard.metrics);
   recovery_log.merge(shard.recovery_log);
-  episodes.merge(shard.episodes);
   latency.merge(shard.latency);
   total_network_transmit_time += shard.total_network_transmit_time;
   total_loss_recovery_time += shard.total_loss_recovery_time;
@@ -51,11 +50,9 @@ void ArmResult::merge(ArmResult&& shard) {
 }
 
 double ArmResult::fraction_bytes_in_fast_recovery() const {
-  uint64_t in_fr = 0;
-  for (const auto& e : recovery_log.events()) in_fr += e.bytes_sent_during;
   return metrics.bytes_sent == 0
              ? 0
-             : static_cast<double>(in_fr) /
+             : static_cast<double>(recovery_log.bytes_sent_during()) /
                    static_cast<double>(metrics.bytes_sent);
 }
 
@@ -239,34 +236,23 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
   const bool capturing =
       capture != nullptr && encoder != nullptr && result != nullptr;
 
-  // `recorder` is the caller's ring, set whenever the run traces, checks,
-  // collects episodes or captures (checked runs get one even without
-  // opts.trace: quarantine artifacts always carry the events leading up
-  // to the failure). It outlives the connection, so a throwing connection
-  // still leaves a readable tail; sweeps pass one ring per shard, so short
-  // transfers don't pay a ring allocation each.
+  // `recorder` is the caller's ring, set whenever the run traces, checks
+  // or captures (checked runs get one even without opts.trace: quarantine
+  // artifacts always carry the events leading up to the failure). It
+  // outlives the connection, so a throwing connection still leaves a
+  // readable tail; sweeps pass one ring per shard, so short transfers
+  // don't pay a ring allocation each.
   if (recorder) recorder->clear();
 
-  // Episode accumulation taps the recorder through a listener (records
-  // are folded as written, so ring wrap cannot lose episodes). The
-  // builder sits outside the try so a throwing connection still yields
-  // its partial (truncated) episode; the listener is popped before
-  // returning so a shared per-shard ring never keeps a dangling
-  // subscriber across connections.
-  obs::EpisodeBuilder episode_builder;
+  // The sender whose episode table this connection feeds, once it is
+  // wired; an episode still open when the run ends (or throws) is closed
+  // as truncated through it.
+  tcp::Sender* sender = nullptr;
   // Capture-trigger inputs, filled as the run produces them (declared
   // before the try so a throwing connection can still be evaluated —
   // an exploding connection is exactly what triggered capture is for).
   obs::CaptureStats cap;
   cap.conn = id;
-  const bool collect =
-      opts.collect_episodes && recorder != nullptr && result != nullptr;
-  if (collect) {
-    recorder->add_listener(
-        [&episode_builder](const obs::TraceRecord& r) {
-          episode_builder.on_record(r);
-        });
-  }
 
   try {
     // Common random numbers: the sample and all network randomness derive
@@ -286,20 +272,20 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     sim.set_batch_delivery(opts.batch_delivery);
 
     tcp::Metrics* metrics = result != nullptr ? &result->metrics : nullptr;
-    stats::RecoveryLog* rlog =
+    obs::EpisodeTable* episodes =
         result != nullptr ? &result->recovery_log : nullptr;
     if (!arena.conn) {
       arena.conn.emplace(sim, make_connection_config(sample, arm),
-                         conn_rng.fork(101), metrics, rlog);
+                         conn_rng.fork(101), metrics, episodes);
     } else {
       arena.conn->reset(make_connection_config(sample, arm),
-                        conn_rng.fork(101), metrics, rlog);
+                        conn_rng.fork(101), metrics, episodes);
       arena.check_reset_state();
     }
     tcp::Connection& conn = *arena.conn;
-    if (recorder) {
-      conn.sender().set_recorder(recorder, static_cast<uint32_t>(id));
-    }
+    // Tags the episode rows with this id even without a ring.
+    conn.sender().set_recorder(recorder, static_cast<uint32_t>(id));
+    sender = &conn.sender();
     // Snapshot for the per-connection delta folded into the registry
     // (the Metrics accumulator is shared across the shard).
     const tcp::Metrics metrics_before =
@@ -445,11 +431,7 @@ ConnectionOutcome run_one_connection(const workload::Population& pop,
     outcome.exception = "unknown exception";
   }
 
-  if (collect) {
-    recorder->pop_listener();
-    episode_builder.finish();
-    result->episodes.fold(episode_builder);
-  }
+  if (sender != nullptr) sender->close_open_episode();
   if (recorder &&
       (!outcome.violations.empty() || !outcome.exception.empty())) {
     outcome.trace_tail = recorder->tail(opts.trace_tail_records);
@@ -484,8 +466,7 @@ void run_connection_range(const workload::Population& pop,
   // One ring per shard, cleared between connections — the sweep's trace
   // cost is the record writes, not a per-connection ring allocation.
   std::optional<obs::FlightRecorder> recorder;
-  if (opts.trace || opts.check_invariants || opts.collect_episodes ||
-      capture != nullptr) {
+  if (opts.trace || opts.check_invariants || capture != nullptr) {
     recorder.emplace(opts.trace_ring_records);
   }
   // One encoder per range: its scratch is reused across connections, so
@@ -573,7 +554,6 @@ TracedConnection trace_connection(const workload::Population& pop,
 
   RunOptions traced = opts;
   traced.trace = true;
-  traced.collect_episodes = false;  // the local builder handles episodes
   ConnectionOutcome outcome = run_one_connection(
       pop, arm, traced, id, /*force_check=*/false,
       /*result=*/nullptr, &recorder, arena,

@@ -34,7 +34,6 @@
 #include "sim/simulator.h"
 #include "sim/time.h"
 #include "stats/latency.h"
-#include "stats/recovery_log.h"
 #include "tcp/invariants.h"
 #include "tcp/metrics.h"
 #include "tcp/sender.h"
@@ -133,11 +132,10 @@ struct ConnOutcome {
 struct ArmResult {
   std::string name;
   tcp::Metrics metrics;
-  stats::RecoveryLog recovery_log;
-  // Structured recovery episodes derived from each connection's trace
-  // stream (populated only with RunOptions::collect_episodes). Reconciles bit-exactly with `recovery_log` and
-  // `metrics` — bench/episode_gate enforces it.
-  obs::EpisodeTable episodes;
+  // One row per fast-recovery episode, folded by each sender from its
+  // own trace records as the episode closes (obs/episodes.h). total()
+  // equals metrics.fast_recovery_events; bounded with bounded_stats.
+  obs::EpisodeTable recovery_log;
   stats::LatencyTracker latency;
   sim::Time total_network_transmit_time;
   sim::Time total_loss_recovery_time;
@@ -232,7 +230,7 @@ struct RunOptions {
   // vectors: memory per arm becomes O(1) instead of O(connections).
   // Every fraction_* statistic and count() is maintained identically in
   // both modes; exact-sample quantiles degrade to histogram
-  // approximations (stats::LatencyTracker/RecoveryLog docs). Off by
+  // approximations (stats::LatencyTracker/obs::EpisodeTable docs). Off by
   // default so existing consumers of the raw vectors are unaffected.
   bool bounded_stats = false;
 
@@ -269,12 +267,6 @@ struct RunOptions {
   bool trace = false;
   uint32_t trace_ring_records = 2048;  // ring capacity per connection
   uint32_t trace_tail_records = 256;   // tail kept on quarantine/replay
-  // Fold every connection's trace stream into ArmResult::episodes (a
-  // recorder is attached regardless of `trace`, so the table is
-  // identical with tracing on or off). Episodes are built from a
-  // listener on the recorder, so ring wrap cannot cost episodes on long
-  // connections.
-  bool collect_episodes = false;
   // --- trace store (DESIGN.md §14) ---
   // When non-empty, persist selected connections' trace rings to a
   // columnar store file at obs::store_path_for_arm(store_path, arm.name)

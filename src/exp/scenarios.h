@@ -13,8 +13,8 @@
 
 #include "core/prr.h"
 #include "net/fault_schedule.h"
+#include "obs/episodes.h"
 #include "sim/time.h"
-#include "stats/recovery_log.h"
 #include "tcp/invariants.h"
 #include "tcp/metrics.h"
 #include "tcp/sender.h"
@@ -60,7 +60,7 @@ struct FigureScenario {
 struct FigureRun {
   trace::TimeSeqTrace trace;
   tcp::Metrics metrics;              // the connection's local counters
-  stats::RecoveryLog recovery_log;
+  obs::EpisodeTable recovery_log;  // finished episodes only
   uint64_t final_cwnd_bytes = 0;
   uint64_t final_ssthresh_bytes = 0;
   tcp::TcpState final_state = tcp::TcpState::kOpen;

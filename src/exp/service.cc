@@ -46,7 +46,7 @@ WindowMetrics window_metrics(const ArmResult& w) {
   // Mean fast-recovery episode duration (the paper's recovery-time
   // metric, Fig 5) — not total time in loss states, which folds in RTO
   // backoff and would swamp the episode signal.
-  m.recovery_ms = w.recovery_log.duration_us_hist().mean() / 1000.0;
+  m.recovery_ms = w.recovery_log.duration_us().mean() / 1000.0;
   m.latency_ms = w.latency.latency_us_hist().mean() / 1000.0;
   if (const obs::LogHistogram* h =
           w.registry.find_histogram("tcp.final_cwnd_bytes")) {
@@ -374,7 +374,6 @@ ServiceResult ExperimentService::run() {
       o.connections = static_cast<int>(count);
       // Memory bound: cumulative aggregates must stay O(1) per arm.
       o.bounded_stats = true;
-      o.collect_episodes = false;
       o.collect_outcomes = false;
       std::vector<ArmResult> wres = run_arms(pop, cfg_.arms, o);
 
@@ -533,7 +532,7 @@ ServiceResult ExperimentService::run() {
               ? 0
               : static_cast<double>(r.metrics.timeouts_total) /
                     static_cast<double>(r.connections_run);
-      s.recovery_ms_mean = r.recovery_log.duration_us_hist().mean() / 1000.0;
+      s.recovery_ms_mean = r.recovery_log.duration_us().mean() / 1000.0;
       const util::Log2Histogram& lh = r.latency.latency_us_hist();
       s.latency_ms_mean = lh.mean() / 1000.0;
       s.latency_ms_p50 = lh.quantile(0.50) / 1000.0;

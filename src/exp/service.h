@@ -111,9 +111,8 @@ struct ServiceConfig {
 
   // Template for the per-window runs (threads, pooling, tracing,
   // invariant checking...). The service overrides connections /
-  // first_connection / seed per window and forces bounded_stats,
-  // collect_episodes = false, collect_outcomes = false so cumulative
-  // memory stays O(1) per arm.
+  // first_connection / seed per window and forces bounded_stats and
+  // collect_outcomes = false so cumulative memory stays O(1) per arm.
   RunOptions run;
 
   // Retention caps (counts stay exact past them).

@@ -57,12 +57,22 @@ void EpisodeBuilder::begin(const TraceRecord& r) {
 void EpisodeBuilder::close(EpisodeExit exit, int64_t end_ns) {
   current_.summary.exit = exit;
   current_.summary.end_ns = end_ns;
+  in_episode_ = false;
+  if (table_ != nullptr) {
+    table_->fold(current_.summary);
+    return;
+  }
   episodes_.push_back(std::move(current_));
   current_ = RecoveryEpisode{};
-  in_episode_ = false;
   // Start collecting the post-recovery cwnd trajectory for the episode
   // just closed (kTruncated means the stream ended — nothing follows).
   capture_post_ = exit != EpisodeExit::kTruncated;
+}
+
+void EpisodeBuilder::set_table(EpisodeTable* table) { table_ = table; }
+
+EpisodeBuilder::StreamCounts& EpisodeBuilder::counts() {
+  return table_ != nullptr ? table_->stream_ : stream_;
 }
 
 void EpisodeBuilder::on_record(const TraceRecord& r) {
@@ -92,9 +102,9 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
           row.sndcnt = sndcnt;
           current_.ledger.push_back(row);
         }
-      } else if (capture_post_ && !episodes_.empty()) {
-        EpisodeSummary& last = episodes_.back().summary;
-        if (last.post_cwnd_count < EpisodeSummary::kPostTrajectory) {
+      } else if (capture_post_) {
+        RecoveryEpisode& last = episodes_.back();
+        if (last.post_cwnd_count < RecoveryEpisode::kPostTrajectory) {
           last.post_cwnd[last.post_cwnd_count++] = r.f[1];
         } else {
           capture_post_ = false;
@@ -116,10 +126,10 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
       break;
 
     case TraceType::kTransmit:
-      ++stream_.data_segments_sent;
+      ++counts().data_segments_sent;
       if (r.a != 0) {
-        ++stream_.retransmits_total;
-        if (r.b == kStateRecovery) ++stream_.fast_retransmits;
+        ++counts().retransmits_total;
+        if (r.b == kStateRecovery) ++counts().fast_retransmits;
       }
       if (in_episode_ && r.b == kStateRecovery) {
         if (r.a != 0) ++s.retransmits;
@@ -129,7 +139,7 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
 
     case TraceType::kSackSeen:
       if (r.a != 0) {
-        ++stream_.dsacks_received;
+        ++counts().dsacks_received;
         if (in_episode_) ++s.dsacks_seen;
       } else if (in_episode_) {
         ++s.sacks_seen;
@@ -137,8 +147,8 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
       break;
 
     case TraceType::kLostRetransmit:
-      stream_.lost_retransmits_detected += r.f[0];
-      stream_.lost_fast_retransmits += r.f[1];
+      counts().lost_retransmits_detected += r.f[0];
+      counts().lost_fast_retransmits += r.f[1];
       break;
 
     case TraceType::kExitRecovery:
@@ -158,7 +168,7 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
       break;
 
     case TraceType::kUndo:
-      ++stream_.undo_events;
+      ++counts().undo_events;
       // a == 0: DSACK/Eifel undo — ends the episode when one is open
       // (the sender restores cwnd/ssthresh and leaves recovery).
       // a == 1: spurious-RTO undo, outside fast recovery by definition.
@@ -175,11 +185,11 @@ void EpisodeBuilder::on_record(const TraceRecord& r) {
       break;
 
     case TraceType::kRtoFired:
-      ++stream_.timeouts_total;
+      ++counts().timeouts_total;
       if (in_episode_) {
-        // Mirrors finish_recovery_event on the RTO path: cwnd is still
-        // the pre-reset value and ssthresh still the entry value, and
-        // the exit-window fields stay unset.
+        // The record is written before the RTO resets the window: cwnd
+        // is still the pre-reset value and ssthresh the entry value. The
+        // exit-window fields stay unset.
         s.max_burst_segments = r.f[5];
         s.slow_start_after = r.f[2] < s.ssthresh;
         close(EpisodeExit::kRtoInterrupted, r.at_ns);
@@ -206,65 +216,87 @@ void EpisodeBuilder::reset() {
   capture_post_ = false;
 }
 
-void EpisodeTable::fold(const EpisodeBuilder& b) {
-  for (const RecoveryEpisode& e : b.episodes()) {
-    const EpisodeSummary& s = e.summary;
-    rows_.push_back(s);
-    if (!s.finished()) continue;
-    ++finished_;
-    duration_us_.record(static_cast<uint64_t>(
-        std::max<int64_t>(0, (s.end_ns - s.start_ns) / 1000)));
-    retx_.record(s.retransmits);
-    acks_.record(s.acks);
-    sndcnt_.record(s.sndcnt_bytes);
-  }
-  stream_.merge(b.stream());
-}
-
-void EpisodeTable::merge(const EpisodeTable& other) {
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-  stream_.merge(other.stream_);
-  finished_ += other.finished_;
-  duration_us_.merge(other.duration_us_);
-  retx_.merge(other.retx_);
-  acks_.merge(other.acks_);
-  sndcnt_.merge(other.sndcnt_);
-}
-
 namespace {
 
-// Table 5 compares pipe and ssthresh in whole segments, exactly as
-// stats::RecoveryLog does (integer division per operand).
+// Table 5 compares pipe and ssthresh in whole segments (integer
+// division per operand), so "equal" means the same segment count.
 int seg_diff(const EpisodeSummary& s) {
   const int64_t pipe_segs = static_cast<int64_t>(s.pipe_at_start / s.mss);
   const int64_t ss_segs = static_cast<int64_t>(s.ssthresh / s.mss);
   return static_cast<int>(pipe_segs - ss_segs);
 }
 
+double ratio(uint64_t n, uint64_t d) {
+  return d == 0 ? 0 : static_cast<double>(n) / static_cast<double>(d);
+}
+
 }  // namespace
 
+void EpisodeTable::fold(const EpisodeSummary& s) {
+  ++total_;
+  if (!bounded_) rows_.push_back(s);
+  if (!s.finished()) return;
+  ++finished_;
+  completed_exits_ += s.exit == EpisodeExit::kCompleted;
+  undo_exits_ += s.exit == EpisodeExit::kUndo;
+  rto_exits_ += s.exit == EpisodeExit::kRtoInterrupted;
+  const int d = seg_diff(s);
+  below_ += d < 0;
+  equal_ += d == 0;
+  above_ += d > 0;
+  if (s.completed()) slow_start_after_ += s.slow_start_after;
+  bytes_sent_during_ += s.bytes_sent_during;
+  duration_us_.record(static_cast<uint64_t>(
+      std::max<int64_t>(0, (s.end_ns - s.start_ns) / 1000)));
+  retx_.record(s.retransmits);
+  acks_.record(s.acks);
+  sndcnt_.record(s.sndcnt_bytes);
+}
+
+void EpisodeTable::fold(const EpisodeBuilder& b) {
+  for (const RecoveryEpisode& e : b.episodes()) fold(e.summary);
+  stream_.merge(b.stream());
+}
+
+void EpisodeTable::merge(const EpisodeTable& other) {
+  if (!bounded_) {
+    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
+  }
+  stream_.merge(other.stream_);
+  total_ += other.total_;
+  finished_ += other.finished_;
+  completed_exits_ += other.completed_exits_;
+  undo_exits_ += other.undo_exits_;
+  rto_exits_ += other.rto_exits_;
+  below_ += other.below_;
+  equal_ += other.equal_;
+  above_ += other.above_;
+  slow_start_after_ += other.slow_start_after_;
+  bytes_sent_during_ += other.bytes_sent_during_;
+  duration_us_.merge(other.duration_us_);
+  retx_.merge(other.retx_);
+  acks_.merge(other.acks_);
+  sndcnt_.merge(other.sndcnt_);
+}
+
 double EpisodeTable::fraction_start_below_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) < 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
+  return ratio(below_, finished_);
 }
 
 double EpisodeTable::fraction_start_equal_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) == 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
+  return ratio(equal_, finished_);
 }
 
 double EpisodeTable::fraction_start_above_ssthresh() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
-  for (const auto& s : rows_)
-    if (s.finished()) n += seg_diff(s) > 0;
-  return static_cast<double>(n) / static_cast<double>(finished_);
+  return ratio(above_, finished_);
+}
+
+double EpisodeTable::fraction_slow_start_after() const {
+  return ratio(slow_start_after_, completed_exits_ + undo_exits_);
+}
+
+double EpisodeTable::fraction_with_timeout() const {
+  return ratio(rto_exits_, finished_);
 }
 
 util::Samples EpisodeTable::pipe_minus_ssthresh_segs() const {
@@ -295,23 +327,11 @@ util::Samples EpisodeTable::recovery_time_ms() const {
   return out;
 }
 
-double EpisodeTable::fraction_slow_start_after() const {
-  std::size_t n = 0, denom = 0;
-  for (const auto& s : rows_) {
-    if (!s.completed()) continue;
-    ++denom;
-    n += s.slow_start_after;
-  }
-  return denom == 0 ? 0
-                    : static_cast<double>(n) / static_cast<double>(denom);
-}
-
-double EpisodeTable::fraction_with_timeout() const {
-  if (finished_ == 0) return 0;
-  std::size_t n = 0;
+util::Samples EpisodeTable::burst_sizes() const {
+  util::Samples out;
   for (const auto& s : rows_)
-    if (s.finished()) n += s.interrupted_by_timeout();
-  return static_cast<double>(n) / static_cast<double>(finished_);
+    if (s.finished()) out.add(static_cast<double>(s.max_burst_segments));
+  return out;
 }
 
 namespace {
@@ -332,17 +352,11 @@ void append_hist_json(std::string& out, const char* name,
 std::string EpisodeTable::to_json() const {
   std::string out = "{";
   out += "\"episodes\":" + std::to_string(total());
-  out += ",\"finished\":" + std::to_string(finished());
+  out += ",\"finished\":" + std::to_string(count());
   out += ",\"truncated\":" + std::to_string(truncated());
-  std::size_t completed = 0, undone = 0, rto = 0;
-  for (const auto& s : rows_) {
-    completed += s.exit == EpisodeExit::kCompleted;
-    undone += s.exit == EpisodeExit::kUndo;
-    rto += s.exit == EpisodeExit::kRtoInterrupted;
-  }
-  out += ",\"completed\":" + std::to_string(completed);
-  out += ",\"undo\":" + std::to_string(undone);
-  out += ",\"rto_interrupted\":" + std::to_string(rto);
+  out += ",\"completed\":" + std::to_string(completed_exits_);
+  out += ",\"undo\":" + std::to_string(undo_exits_);
+  out += ",\"rto_interrupted\":" + std::to_string(rto_exits_);
   out += ",\"stream\":{";
   out += "\"data_segments_sent\":" +
          std::to_string(stream_.data_segments_sent);
@@ -371,16 +385,11 @@ std::string EpisodeTable::to_json() const {
 std::string EpisodeTable::summary_string() const {
   char buf[256];
   std::string out;
-  std::size_t completed = 0, undone = 0, rto = 0;
-  for (const auto& s : rows_) {
-    completed += s.exit == EpisodeExit::kCompleted;
-    undone += s.exit == EpisodeExit::kUndo;
-    rto += s.exit == EpisodeExit::kRtoInterrupted;
-  }
   std::snprintf(buf, sizeof(buf),
-                "episodes: %zu (completed %zu, undo %zu, rto %zu, "
-                "truncated %zu)\n",
-                total(), completed, undone, rto, truncated());
+                "episodes: %zu (completed %" PRIu64 ", undo %" PRIu64
+                ", rto %" PRIu64 ", truncated %zu)\n",
+                total(), completed_exits_, undo_exits_, rto_exits_,
+                truncated());
   out += buf;
   std::snprintf(buf, sizeof(buf),
                 "duration_us: p50 %.0f p95 %.0f p99 %.0f\n",
@@ -457,10 +466,10 @@ std::string describe(const RecoveryEpisode& e) {
                 s.pipe_at_exit, s.delivered_bytes, s.sndcnt_bytes,
                 s.max_burst_segments);
   out += buf;
-  if (s.post_cwnd_count > 0) {
+  if (e.post_cwnd_count > 0) {
     out += "  post-recovery cwnd:";
-    for (uint8_t i = 0; i < s.post_cwnd_count; ++i) {
-      std::snprintf(buf, sizeof(buf), " %" PRIu64, s.post_cwnd[i]);
+    for (uint8_t i = 0; i < e.post_cwnd_count; ++i) {
+      std::snprintf(buf, sizeof(buf), " %" PRIu64, e.post_cwnd[i]);
       out += buf;
     }
     out += '\n';

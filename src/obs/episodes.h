@@ -7,12 +7,12 @@
 // and the first few post-recovery cwnd samples.
 //
 // Layering: like the rest of obs/, this sits below tcp/ and net/ — it
-// sees only TraceRecords, never the Sender. The derivation is exact by
-// construction: every field the stats::RecoveryLog accumulates is also
-// present in (or derivable from) the trace records the same code paths
-// emit, so an EpisodeTable built from the stream reconciles bit-exactly
-// with the RecoveryLog and tcp::Metrics counters (bench/episode_gate
-// enforces this at several thread counts, tracing on and off).
+// sees only TraceRecords, never the Sender. There is one derivation: the
+// sender feeds the same records it writes to its ring into an
+// EpisodeBuilder that folds each row into the arm's EpisodeTable as the
+// episode closes, and the trace store rebuilds its tables by replaying
+// stored records through the same builder. Live and stored tables
+// therefore agree by construction.
 //
 // Aggregation: each worker shard folds its connections into a private
 // EpisodeTable; shards merge in connection-id order, so rows, counters
@@ -32,8 +32,8 @@ namespace prr::obs {
 
 // How an episode ended. kTruncated = the stream ended (end of run or of
 // the captured tail) with recovery still in progress; such episodes are
-// counted but excluded from the "finished" views that mirror the
-// stats::RecoveryLog (which only records finished events).
+// counted in total() but excluded from count() and every per-episode
+// view of the table.
 enum class EpisodeExit : uint8_t {
   kCompleted,       // snd.una reached the recovery point (kExitRecovery)
   kUndo,            // DSACK/Eifel undo reverted the episode (kUndo a=0)
@@ -45,14 +45,12 @@ const char* to_string(EpisodeExit e);
 
 // One row of an episode table: everything Tables 3/5/6/7 need, plus the
 // sndcnt/DeliveredData accounting, in a compact trivially-copyable form.
+// A row is final when its episode closes.
 struct EpisodeSummary {
-  static constexpr int kPostTrajectory = 8;
-
   uint32_t conn = 0;
   int64_t start_ns = 0;
   int64_t end_ns = 0;
-  // Window quantities in bytes at the named instants (RecoveryEvent's
-  // exact field set, same units).
+  // Window quantities in bytes at the named instants.
   uint64_t pipe_at_start = 0;
   uint64_t ssthresh = 0;       // the reduced target chosen at entry
   uint64_t cwnd_at_start = 0;  // prior cwnd, before the reduction
@@ -71,27 +69,22 @@ struct EpisodeSummary {
   uint64_t sndcnt_bytes = 0;     // sum of per-ACK send allowances
   uint64_t retransmits = 0;      // segments retransmitted in-episode
   uint64_t bytes_sent_during = 0;
-  uint64_t max_burst_segments = 0;
+  uint64_t max_burst_segments = 0;  // largest single-ACK send burst
   uint64_t sacks_seen = 0;
   uint64_t dsacks_seen = 0;
-  // cwnd (bytes) at the first post-recovery ACKs — the convergence
-  // trajectory Table 7 summarizes the first point of.
-  uint64_t post_cwnd[kPostTrajectory] = {};
-  uint8_t post_cwnd_count = 0;
 
   bool finished() const { return exit != EpisodeExit::kTruncated; }
-  // Mirrors stats::RecoveryEvent::completed (undo counts as completed).
+  // snd.una reached the recovery point, or an undo ended the episode.
   bool completed() const {
     return exit == EpisodeExit::kCompleted || exit == EpisodeExit::kUndo;
   }
   bool interrupted_by_timeout() const {
     return exit == EpisodeExit::kRtoInterrupted;
   }
-  sim::Time duration() const {
-    return sim::Time::nanoseconds(end_ns - start_ns);
-  }
-  // Segment-denominated views, the exact arithmetic of
-  // stats::RecoveryEvent (paper tables are in segments).
+  sim::Time start() const { return sim::Time::nanoseconds(start_ns); }
+  sim::Time end() const { return sim::Time::nanoseconds(end_ns); }
+  sim::Time duration() const { return end() - start(); }
+  // Segment-denominated views (paper tables are in segments).
   double pipe_minus_ssthresh_segs() const {
     return (static_cast<double>(pipe_at_start) -
             static_cast<double>(ssthresh)) / mss;
@@ -125,10 +118,17 @@ struct EpisodeAck {
 };
 
 // A fully materialized episode: the summary row plus (when the builder
-// keeps ledgers) the per-ACK decision trail.
+// keeps ledgers) the per-ACK decision trail and the post-recovery cwnd
+// trajectory.
 struct RecoveryEpisode {
+  static constexpr int kPostTrajectory = 8;
+
   EpisodeSummary summary;
   std::vector<EpisodeAck> ledger;  // empty unless Options::keep_ledgers
+  // cwnd (bytes) at the first post-recovery ACKs — the convergence
+  // trajectory Table 7 summarizes the first point of.
+  uint64_t post_cwnd[kPostTrajectory] = {};
+  uint8_t post_cwnd_count = 0;
 };
 
 // Multi-line human-readable dump (episode header, ledger lines, exit and
@@ -138,11 +138,20 @@ std::string describe(const RecoveryEpisode& e);
 // One-line form of just the summary row.
 std::string describe(const EpisodeSummary& s);
 
+class EpisodeTable;
+
 // Folds one connection's record stream (oldest first) into episodes.
 // Feed every record to on_record(); call finish() at stream end to close
 // an in-progress episode as kTruncated. The builder also accumulates the
 // stream-level counters Table 3 consumes (retransmits, DSACKs, undo and
 // lost-retransmit events), which are not per-episode quantities.
+//
+// Two modes. By default episodes collect in episodes() (with ledgers and
+// post-recovery trajectories on request) for EpisodeTable::fold(builder).
+// With a table attached (set_table), each row is folded into the table
+// the moment its episode closes and the stream counters are counted
+// straight into it; episodes() stays empty and nothing allocates per
+// record. The sender runs a builder in that mode.
 class EpisodeBuilder {
  public:
   struct Options {
@@ -170,7 +179,37 @@ class EpisodeBuilder {
   void on_record(const TraceRecord& r);
   void finish();
 
+  // Whether a table-mode builder reads a record of `type` whose `a`
+  // field is `a`, written while an episode is open or not. kPrr only
+  // annotates ledgers, and outside an episode only the stream counters
+  // move. A producer whose one sink is such a builder builds no other
+  // record.
+  static constexpr bool table_reads(TraceType type, uint8_t a,
+                                    bool in_episode) {
+    switch (type) {
+      case TraceType::kTransmit:
+      case TraceType::kLostRetransmit:
+      case TraceType::kEnterRecovery:
+      case TraceType::kExitRecovery:
+      case TraceType::kUndo:
+      case TraceType::kRtoFired:
+        return true;
+      case TraceType::kSackSeen:  // a DSACK also counts on the stream
+        return in_episode || a != 0;
+      case TraceType::kAck:
+        return in_episode;
+      default:
+        return false;
+    }
+  }
+
+  // Attaches (or, with nullptr, detaches) the table rows are folded
+  // into. Switch only between streams (after reset()).
+  void set_table(EpisodeTable* table);
+  EpisodeTable* table() const { return table_; }
+
   const std::vector<RecoveryEpisode>& episodes() const { return episodes_; }
+  // Empty in table mode: the table holds the counts.
   const StreamCounts& stream() const { return stream_; }
   bool in_episode() const { return in_episode_; }
 
@@ -180,8 +219,10 @@ class EpisodeBuilder {
  private:
   void begin(const TraceRecord& r);
   void close(EpisodeExit exit, int64_t end_ns);
+  StreamCounts& counts();  // stream_, or the table's counters
 
   Options opts_;
+  EpisodeTable* table_ = nullptr;
   std::vector<RecoveryEpisode> episodes_;
   StreamCounts stream_;
   RecoveryEpisode current_;
@@ -192,39 +233,57 @@ class EpisodeBuilder {
 
 // Per-arm aggregation of episode rows: deterministic merge across worker
 // shards (rows append in connection-id order; counters sum; histograms
-// bucket-sum), RecoveryLog-mirroring sample accessors for the paper
-// tables, and log2-histogram percentiles for the JSON/CLI summaries.
+// bucket-sum), the sample accessors the paper tables read, and
+// log2-histogram percentiles for the JSON/CLI summaries.
+//
+// Like stats::LatencyTracker, the table has an unbounded mode (every row
+// kept, exact quantiles) and a bounded mode for streaming sweeps (rows
+// dropped, O(1) memory per arm). The counts, fractions, byte sums and
+// histograms are maintained by fold() in both modes, so they read the
+// same either way; only rows() and the Samples views need the rows.
 class EpisodeTable {
  public:
-  // Appends everything the builder derived for one connection. Called in
-  // connection order within a shard, so rows are emission-ordered.
+  // Adds one closed episode's row. Rows arrive in emission order.
+  void fold(const EpisodeSummary& row);
+  // Adds every episode the builder collected, plus its stream counters.
+  // Called in connection order within a shard.
   void fold(const EpisodeBuilder& b);
   void merge(const EpisodeTable& other);
 
+  // Switches to bounded storage. Only valid before the first fold().
+  void set_bounded(bool bounded) { bounded_ = bounded; }
+  bool bounded() const { return bounded_; }
+
+  // Every row, truncated ones included; empty in bounded mode.
   const std::vector<EpisodeSummary>& rows() const { return rows_; }
   const EpisodeBuilder::StreamCounts& stream() const { return stream_; }
 
   // Counts. total() includes truncated episodes and equals the
-  // tcp::Metrics fast_recovery_events counter; finished() equals
-  // stats::RecoveryLog::count().
-  std::size_t total() const { return rows_.size(); }
-  std::size_t finished() const { return finished_; }
-  std::size_t truncated() const { return rows_.size() - finished_; }
+  // tcp::Metrics fast_recovery_events counter; count() is the finished
+  // episodes, the population of every view below.
+  std::size_t total() const { return total_; }
+  std::size_t count() const { return finished_; }
+  std::size_t truncated() const { return total_ - finished_; }
 
-  // --- exact mirrors of the stats::RecoveryLog accessors (same math,
-  // same event ordering, same filters), over finished rows ---
-  double fraction_start_below_ssthresh() const;
+  // Table 5: fraction of episodes starting in each PRR mode.
+  double fraction_start_below_ssthresh() const;  // pipe < ssthresh
   double fraction_start_equal_ssthresh() const;
-  double fraction_start_above_ssthresh() const;
+  double fraction_start_above_ssthresh() const;  // pipe > ssthresh
+  double fraction_slow_start_after() const;  // Table 10 row
+  double fraction_with_timeout() const;
+  // All data sent while in recovery, summed over finished episodes.
+  uint64_t bytes_sent_during() const { return bytes_sent_during_; }
+
+  // Exact-sample views over finished rows; empty in bounded mode (use
+  // the histograms).
   util::Samples pipe_minus_ssthresh_segs() const;       // Table 5
   util::Samples cwnd_minus_ssthresh_exit_segs() const;  // Table 6
   util::Samples cwnd_after_exit_segs() const;           // Table 7
   util::Samples recovery_time_ms() const;               // Fig 5
-  double fraction_slow_start_after() const;
-  double fraction_with_timeout() const;
+  util::Samples burst_sizes() const;
 
-  // Log2 summaries (built incrementally; percentiles via
-  // LogHistogram::quantile interpolation).
+  // Log2 summaries over finished rows (built incrementally; percentiles
+  // via LogHistogram::quantile interpolation).
   const LogHistogram& duration_us() const { return duration_us_; }
   const LogHistogram& retransmits_per_episode() const { return retx_; }
   const LogHistogram& acks_per_episode() const { return acks_; }
@@ -236,9 +295,23 @@ class EpisodeTable {
   std::string summary_string() const;
 
  private:
+  friend class EpisodeBuilder;  // counts stream records into stream_
+
   std::vector<EpisodeSummary> rows_;
   EpisodeBuilder::StreamCounts stream_;
-  std::size_t finished_ = 0;
+  bool bounded_ = false;
+  uint64_t total_ = 0;
+  uint64_t finished_ = 0;
+  // Finished rows by exit kind.
+  uint64_t completed_exits_ = 0;
+  uint64_t undo_exits_ = 0;
+  uint64_t rto_exits_ = 0;
+  // Table 5 start classes, in whole segments.
+  uint64_t below_ = 0;
+  uint64_t equal_ = 0;
+  uint64_t above_ = 0;
+  uint64_t slow_start_after_ = 0;  // among completed() rows
+  uint64_t bytes_sent_during_ = 0;
   LogHistogram duration_us_;
   LogHistogram retx_;
   LogHistogram acks_;

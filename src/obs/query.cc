@@ -207,6 +207,7 @@ bool episodes_from_store(const StoreReader& reader,
                          const QueryFilter& filter, EpisodeTable* out,
                          std::string* err) {
   EpisodeBuilder builder;
+  builder.set_table(out);
   std::vector<TraceRecord> records;
   const auto& blocks = reader.blocks();
   std::size_t i = 0;
@@ -225,7 +226,6 @@ bool episodes_from_store(const StoreReader& reader,
       builder.reset();
       for (const TraceRecord& r : records) builder.on_record(r);
       builder.finish();
-      out->fold(builder);
     }
     i = end;
   }

@@ -133,8 +133,8 @@ bool extract_series(const StoreReader& reader, uint64_t conn,
                     std::vector<SeriesPoint>* out, std::string* err);
 
 // Rebuilds the EpisodeTable from stored records: per connection (ascending
-// id), feed its records through an EpisodeBuilder and fold — the exact
-// live-path machinery, so tables reconcile field-exactly. Only the
+// id), feed its records through an EpisodeBuilder writing into `out` —
+// the builder each sender runs live, so tables reconcile field-exactly. Only the
 // filter's BLOCK-level clauses apply (conn range, capture class);
 // record-level filtering would corrupt episode reconstruction.
 bool episodes_from_store(const StoreReader& reader,

@@ -6,13 +6,13 @@ namespace prr::tcp {
 
 Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
                        sim::Rng rng, Metrics* metrics,
-                       stats::RecoveryLog* recovery_log)
+                       obs::EpisodeTable* episodes)
     : config_(config) {
   path_ = std::make_unique<net::Path>(sim, config.path, rng);
   sender_ = std::make_unique<Sender>(
       sim, config.sender,
       [this](net::Segment&& seg) { path_->send_data(std::move(seg)); },
-      metrics, recovery_log);
+      metrics, episodes);
   receiver_ = std::make_unique<Receiver>(
       sim, config.receiver,
       [this](net::Segment&& seg) { path_->send_ack(std::move(seg)); });
@@ -24,13 +24,13 @@ Connection::Connection(sim::Simulator& sim, ConnectionConfig config,
 }
 
 void Connection::reset(ConnectionConfig config, sim::Rng rng,
-                       Metrics* metrics, stats::RecoveryLog* recovery_log) {
+                       Metrics* metrics, obs::EpisodeTable* episodes) {
   config_ = config;
   // Same sub-object order as the constructor. The data/ACK sinks and the
   // send callbacks capture `this`/path_ which are stable across
   // recycling, so no rewiring is needed.
   path_->reset(config.path, rng);
-  sender_->reset(config.sender, metrics, recovery_log);
+  sender_->reset(config.sender, metrics, episodes);
   receiver_->reset(config.receiver);
   if (metrics) ++metrics->connections;
 }

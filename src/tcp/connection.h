@@ -6,9 +6,9 @@
 #include <memory>
 
 #include "net/path.h"
+#include "obs/episodes.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "stats/recovery_log.h"
 #include "tcp/metrics.h"
 #include "tcp/receiver.h"
 #include "tcp/sender.h"
@@ -25,7 +25,7 @@ class Connection {
  public:
   Connection(sim::Simulator& sim, ConnectionConfig config, sim::Rng rng,
              Metrics* metrics = nullptr,
-             stats::RecoveryLog* recovery_log = nullptr);
+             obs::EpisodeTable* episodes = nullptr);
 
   // Pool-recycle: rewires the whole connection (path, sender, receiver)
   // to the state a fresh construction with these arguments would
@@ -33,7 +33,7 @@ class Connection {
   // after the owning Simulator was reset and before any per-connection
   // wiring (recorder, loss models, checker, app) is attached.
   void reset(ConnectionConfig config, sim::Rng rng, Metrics* metrics,
-             stats::RecoveryLog* recovery_log);
+             obs::EpisodeTable* episodes);
 
   // Application write on the server side.
   void write(uint64_t bytes) { sender_->write(bytes); }

@@ -19,7 +19,6 @@ Metrics& Metrics::operator+=(const Metrics& o) {
   timeouts_exp_backoff += o.timeouts_exp_backoff;
   fast_recovery_events += o.fast_recovery_events;
   dsacks_received += o.dsacks_received;
-  recoveries_with_dsack += o.recoveries_with_dsack;
   lost_retransmits_detected += o.lost_retransmits_detected;
   lost_fast_retransmits += o.lost_fast_retransmits;
   undo_events += o.undo_events;
@@ -53,7 +52,6 @@ Metrics& Metrics::operator-=(const Metrics& o) {
   timeouts_exp_backoff -= o.timeouts_exp_backoff;
   fast_recovery_events -= o.fast_recovery_events;
   dsacks_received -= o.dsacks_received;
-  recoveries_with_dsack -= o.recoveries_with_dsack;
   lost_retransmits_detected -= o.lost_retransmits_detected;
   lost_fast_retransmits -= o.lost_fast_retransmits;
   undo_events -= o.undo_events;

@@ -31,7 +31,6 @@ struct Metrics {
   // --- fast recovery (Table 3) ---
   uint64_t fast_recovery_events = 0;
   uint64_t dsacks_received = 0;
-  uint64_t recoveries_with_dsack = 0;
   uint64_t lost_retransmits_detected = 0;
   uint64_t lost_fast_retransmits = 0;
   uint64_t undo_events = 0;   // congestion state reverted (Eifel/DSACK)

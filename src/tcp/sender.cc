@@ -28,12 +28,11 @@ constexpr std::size_t kRetxHistoryLimit = 512;
 }  // namespace
 
 Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-               Metrics* metrics, stats::RecoveryLog* recovery_log)
+               Metrics* metrics, obs::EpisodeTable* episodes)
     : sim_(sim),
       config_(config),
       send_(std::move(send)),
       metrics_(metrics),
-      recovery_log_(recovery_log),
       cc_(make_congestion_control(config.cc, config.mss,
                                   config.gaimd_alpha, config.gaimd_beta)),
       policy_(make_recovery_policy(config.recovery, config.prr_bound)),
@@ -46,15 +45,15 @@ Sender::Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
       persist_timer_(sim, [this] { on_persist_timer(); }) {
   prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
   scoreboard_.reset(0);
+  episodes_.set_table(episodes);
   reset_core_state();
 }
 
 void Sender::reset(SenderConfig config, Metrics* metrics,
-                   stats::RecoveryLog* recovery_log) {
+                   obs::EpisodeTable* episodes) {
   config_ = config;
   metrics_ = metrics;
   local_ = Metrics{};
-  recovery_log_ = recovery_log;
   if (!reset_congestion_control(*cc_, config.cc, config.mss,
                                 config.gaimd_alpha, config.gaimd_beta)) {
     cc_ = make_congestion_control(config.cc, config.mss, config.gaimd_alpha,
@@ -66,10 +65,13 @@ void Sender::reset(SenderConfig config, Metrics* metrics,
   prr_policy_ = dynamic_cast<const PrrRecovery*>(policy_.get());
   scoreboard_.reset(0, config.mss);
   rto_est_ = RtoEstimator(config.rto);
-  // Detach the recorder first: stopping a timer the previous connection
+  // Detach both sinks first: stopping a timer the previous connection
   // left armed traces a timer_cancel, which must not land in whatever
-  // ring the next connection records into.
+  // ring the next connection records into. An episode the previous
+  // connection left open is dropped with the builder's state.
   set_recorder(nullptr, 0);
+  episodes_.reset();
+  episodes_.set_table(episodes);
   // All timer EventIds are stale after Simulator::reset; stop() clears
   // them without touching the (recycled) event queue.
   rto_timer_.stop();
@@ -82,7 +84,6 @@ void Sender::reset(SenderConfig config, Metrics* metrics,
   // or destroyed between connections.
   on_transmit_hook = nullptr;
   on_una_advance_hook = nullptr;
-  on_ack_hook = nullptr;
   on_post_ack_hook = nullptr;
   on_abort_hook = nullptr;
   on_rto_hook = nullptr;
@@ -124,7 +125,9 @@ void Sender::reset_core_state() {
   undo_retrans_ = 0;
   spurious_seen_ = false;
   retx_history_.clear();
-  current_event_ = stats::RecoveryEvent{};
+  episode_retransmits_ = 0;
+  episode_bytes_sent_ = 0;
+  episode_max_burst_ = 0;
   burst_in_progress_ = 0;
   rto_head_retransmit_pending_ = false;
   retransmits_since_progress_ = 0;
@@ -155,6 +158,25 @@ void Sender::reset_core_state() {
     local_.field += (v);               \
     if (metrics_) metrics_->field += (v); \
   } while (0)
+// Emits a record of `type` stamped with now and this connection's id;
+// the remaining arguments are make_record's. Nothing is built unless a
+// sink reads the record.
+#define EMIT(type, a, ...)                                              \
+  do {                                                                  \
+    if (observed((type), (a))) {                                        \
+      emit(obs::make_record(sim_.now(), conn_id_, (type), (a),          \
+                            __VA_ARGS__));                              \
+    }                                                                   \
+  } while (0)
+
+void Sender::emit(const obs::TraceRecord& r) {
+  if (recorder_ != nullptr) recorder_->write(r);
+  if (episodes_.table() != nullptr) episodes_.on_record(r);
+}
+
+void Sender::close_open_episode() {
+  if (episodes_.table() != nullptr) episodes_.finish();
+}
 
 void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
   recorder_ = recorder;
@@ -176,10 +198,9 @@ void Sender::set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id) {
     // kOpSchedule/kOpFire/kOpCancel align with the consecutive
     // kTimerSchedule/kTimerFire/kTimerCancel trace types.
     timer->set_trace([this, id = id](uint8_t op, sim::Time expiry) {
-      PRR_TRACE(recorder_, sim_.now(), conn_id_,
-                static_cast<obs::TraceType>(
-                    static_cast<uint8_t>(obs::TraceType::kTimerSchedule) + op),
-                id, 0, static_cast<uint64_t>(expiry.ns()));
+      EMIT(static_cast<obs::TraceType>(
+               static_cast<uint8_t>(obs::TraceType::kTimerSchedule) + op),
+           id, 0, static_cast<uint64_t>(expiry.ns()));
     });
   }
 }
@@ -291,7 +312,7 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
     switch (state_) {
       case TcpState::kRecovery:
         COUNT(fast_retransmits);
-        ++current_event_.retransmits;
+        ++episode_retransmits_;
         retransmitted_this_event_ = true;
         break;
       case TcpState::kLoss:
@@ -311,10 +332,9 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
   }
   if (state_ == TcpState::kRecovery) {
     policy_->on_sent(len);
-    current_event_.bytes_sent_during += len;
+    episode_bytes_sent_ += len;
     ++burst_in_progress_;
-    current_event_.max_burst_segments =
-        std::max(current_event_.max_burst_segments, burst_in_progress_);
+    episode_max_burst_ = std::max(episode_max_burst_, burst_in_progress_);
   }
 
   last_transmit_ = sim_.now();
@@ -328,9 +348,8 @@ void Sender::transmit(uint64_t start, uint64_t end, bool retx) {
   // per segment — with the fire time, FIFO seq, and trace identical.
   if (!rto_timer_.pending()) rto_timer_.start_coalesced(rto_est_.rto());
 
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kTransmit,
-            retx ? 1 : 0, static_cast<uint16_t>(state_), start, len, cwnd_,
-            snd_nxt_);
+  EMIT(obs::TraceType::kTransmit, retx ? 1 : 0,
+       static_cast<uint16_t>(state_), start, len, cwnd_, snd_nxt_);
   if (on_transmit_hook) on_transmit_hook(start, len, retx);
 
   net::Segment seg;
@@ -367,7 +386,6 @@ void Sender::on_ack_segment(const net::Segment& ack) {
 
 void Sender::process_ack(const net::Segment& ack) {
   if (aborted_) return;
-  if (on_ack_hook) on_ack_hook(ack);
   if (config_.validate_acks && ack.ack > snd_nxt_) {
     // RFC 5961 §5: an ACK for data never sent is invalid — processing it
     // would teleport snd.una beyond snd.nxt. Drop it (its rwnd too: a
@@ -378,17 +396,11 @@ void Sender::process_ack(const net::Segment& ack) {
   if (ack.rwnd != 0) peer_rwnd_ = ack.rwnd;
   if (ack.ack < snd_una_) return;  // ancient ACK: ignore
 
-  if (recorder_ != nullptr) {
-    for (const net::SackBlock& blk : ack.sacks) {
-      recorder_->write(obs::make_record(sim_.now(), conn_id_,
-                                        obs::TraceType::kSackSeen, 0, 0,
-                                        blk.start, blk.end));
-    }
-    if (ack.dsack.has_value()) {
-      recorder_->write(obs::make_record(sim_.now(), conn_id_,
-                                        obs::TraceType::kSackSeen, 1, 0,
-                                        ack.dsack->start, ack.dsack->end));
-    }
+  for (const net::SackBlock& blk : ack.sacks) {
+    EMIT(obs::TraceType::kSackSeen, 0, 0, blk.start, blk.end);
+  }
+  if (ack.dsack.has_value()) {
+    EMIT(obs::TraceType::kSackSeen, 1, 0, ack.dsack->start, ack.dsack->end);
   }
 
   burst_in_progress_ = 0;
@@ -406,10 +418,9 @@ void Sender::process_ack(const net::Segment& ack) {
         static_cast<uint64_t>(out.lost_retransmits_detected));
     ADD(lost_fast_retransmits,
         static_cast<uint64_t>(out.lost_fast_retransmits_detected));
-    PRR_TRACE(recorder_, sim_.now(), conn_id_,
-              obs::TraceType::kLostRetransmit, 0, 0,
-              static_cast<uint64_t>(out.lost_retransmits_detected),
-              static_cast<uint64_t>(out.lost_fast_retransmits_detected));
+    EMIT(obs::TraceType::kLostRetransmit, 0, 0,
+         static_cast<uint64_t>(out.lost_retransmits_detected),
+         static_cast<uint64_t>(out.lost_fast_retransmits_detected));
   }
   if (config_.timestamps && ack.has_ts && ack.tsecr > 0 &&
       out.una_advanced) {
@@ -434,8 +445,7 @@ void Sender::process_ack(const net::Segment& ack) {
       er_timer_.stop();
       COUNT(er_delayed_cancelled);
     }
-    PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUnaAdvance,
-              0, 0, snd_una_);
+    EMIT(obs::TraceType::kUnaAdvance, 0, 0, snd_una_);
     if (on_una_advance_hook) on_una_advance_hook(snd_una_);
   } else if (out.newly_sacked_bytes > 0 || out.saw_dsack ||
              (!config_.sack_enabled && ack.ack == snd_una_ &&
@@ -507,21 +517,13 @@ void Sender::process_ack(const net::Segment& ack) {
   }
   maybe_arm_persist();
 
-  if (recorder_ != nullptr) {
-    recorder_->write(obs::make_record(
-        sim_.now(), conn_id_, obs::TraceType::kAck,
-        static_cast<uint8_t>(state_), 0, ack.ack, cwnd_, effective_pipe(),
-        ssthresh_, out.delivered_bytes(), snd_nxt_));
-    if (state_ == TcpState::kRecovery) {
-      if (const auto* prr = prr_policy_) {
-        const core::PrrState& st = prr->state();
-        recorder_->write(obs::make_record(
-            sim_.now(), conn_id_, obs::TraceType::kPrr,
-            st.in_proportional_mode() ? 1 : 0,
-            static_cast<uint16_t>(st.bound()), st.prr_delivered(),
-            st.prr_out(), st.recover_fs(), st.ssthresh(), cwnd_));
-      }
-    }
+  EMIT(obs::TraceType::kAck, static_cast<uint8_t>(state_), 0, ack.ack,
+       cwnd_, effective_pipe(), ssthresh_, out.delivered_bytes(), snd_nxt_);
+  if (state_ == TcpState::kRecovery && prr_policy_ != nullptr) {
+    const core::PrrState& st = prr_policy_->state();
+    EMIT(obs::TraceType::kPrr, st.in_proportional_mode() ? 1 : 0,
+         static_cast<uint16_t>(st.bound()), st.prr_delivered(), st.prr_out(),
+         st.recover_fs(), st.ssthresh(), cwnd_);
   }
 
   if (on_post_ack_hook) on_post_ack_hook(ack);
@@ -721,16 +723,12 @@ void Sender::enter_recovery(uint64_t delivered_on_trigger, bool via_er) {
   const uint64_t pipe = effective_pipe();
   const uint64_t flight = snd_nxt_ - snd_una_;
   policy_->on_enter(flight, ssthresh_, cwnd_, config_.mss);
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kEnterRecovery,
-            via_er ? 1 : 0, static_cast<uint16_t>(config_.mss), flight,
-            ssthresh_, pipe, prior_cwnd_, recovery_point_);
-
-  current_event_ = stats::RecoveryEvent{};
-  current_event_.start = sim_.now();
-  current_event_.pipe_at_start = pipe;
-  current_event_.ssthresh = ssthresh_;
-  current_event_.cwnd_at_start = cwnd_;
-  current_event_.mss = config_.mss;
+  EMIT(obs::TraceType::kEnterRecovery, via_er ? 1 : 0,
+       static_cast<uint16_t>(config_.mss), flight, ssthresh_, pipe,
+       prior_cwnd_, recovery_point_);
+  episode_retransmits_ = 0;
+  episode_bytes_sent_ = 0;
+  episode_max_burst_ = 0;
 
   // The triggering ACK also clocks the policy. Without SACK the
   // trigger dupack is known to have delivered one segment (RFC 6937's
@@ -786,31 +784,15 @@ void Sender::process_in_recovery(const AckOutcome& out) {
 
 void Sender::exit_recovery() {
   const uint64_t pipe = effective_pipe();
-  current_event_.cwnd_at_exit = cwnd_;
-  current_event_.pipe_at_exit = pipe;
+  const uint64_t cwnd_at_exit = cwnd_;
   cwnd_ = std::max<uint64_t>(policy_->exit_cwnd(pipe, cwnd_), config_.mss);
-  current_event_.cwnd_after_exit = cwnd_;
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kExitRecovery,
-            0, 0, cwnd_, pipe,
-            static_cast<uint64_t>(current_event_.retransmits),
-            current_event_.bytes_sent_during, current_event_.cwnd_at_exit,
-            static_cast<uint64_t>(current_event_.max_burst_segments));
-  finish_recovery_event(/*completed=*/true, /*timeout=*/false);
+  EMIT(obs::TraceType::kExitRecovery, 0, 0, cwnd_, pipe,
+       episode_retransmits_, episode_bytes_sent_, cwnd_at_exit,
+       episode_max_burst_);
 
   state_ = scoreboard_.any_sacked() ? TcpState::kDisorder : TcpState::kOpen;
   note_transmit_state_change();
   dupack_count_ = 0;
-}
-
-void Sender::finish_recovery_event(bool completed, bool timeout) {
-  current_event_.end = sim_.now();
-  current_event_.completed = completed;
-  current_event_.interrupted_by_timeout = timeout;
-  current_event_.slow_start_after = cwnd_ < ssthresh_;
-  if (completed && current_event_.cwnd_after_exit == 0) {
-    current_event_.cwnd_after_exit = cwnd_;
-  }
-  if (recovery_log_) recovery_log_->add(current_event_);
 }
 
 void Sender::handle_dsack(const AckOutcome& out) {
@@ -863,8 +845,7 @@ void Sender::undo_loss_state() {
   scoreboard_.clear_unretransmitted_loss_marks();
   COUNT(spurious_rto_undone);
   COUNT(undo_events);
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 1, 0,
-            cwnd_, ssthresh_);
+  EMIT(obs::TraceType::kUndo, 1, 0, cwnd_, ssthresh_);
   state_ = scoreboard_.any_sacked() ? TcpState::kDisorder
                                     : TcpState::kOpen;
   note_transmit_state_change();
@@ -877,17 +858,12 @@ void Sender::try_undo() {
   cwnd_ = std::max(cwnd_, prior_cwnd_);
   ssthresh_ = prior_ssthresh_;
   COUNT(undo_events);
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kUndo, 0, 0,
-            cwnd_, ssthresh_, scoreboard_.pipe(),
-            static_cast<uint64_t>(current_event_.max_burst_segments));
+  EMIT(obs::TraceType::kUndo, 0, 0, cwnd_, ssthresh_, scoreboard_.pipe(),
+       episode_max_burst_);
   if (recovery_via_er_) COUNT(er_spurious);
   undo_valid_ = false;
   spurious_seen_ = false;
   if (state_ == TcpState::kRecovery) {
-    current_event_.cwnd_at_exit = cwnd_;
-    current_event_.pipe_at_exit = scoreboard_.pipe();
-    current_event_.cwnd_after_exit = cwnd_;
-    finish_recovery_event(/*completed=*/true, /*timeout=*/false);
     state_ = TcpState::kOpen;
     note_transmit_state_change();
     dupack_count_ = 0;
@@ -923,13 +899,10 @@ void Sender::on_rto() {
   if (aborted_) return;
   if (snd_una_ >= snd_nxt_) return;  // nothing outstanding (stale timer)
 
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kRtoFired,
-            static_cast<uint8_t>(state_), 0, snd_una_, snd_nxt_, cwnd_,
-            static_cast<uint64_t>(rto_est_.backoff_count()),
-            static_cast<uint64_t>(rto_est_.rto().ns()),
-            state_ == TcpState::kRecovery
-                ? static_cast<uint64_t>(current_event_.max_burst_segments)
-                : 0);
+  EMIT(obs::TraceType::kRtoFired, static_cast<uint8_t>(state_), 0, snd_una_,
+       snd_nxt_, cwnd_, static_cast<uint64_t>(rto_est_.backoff_count()),
+       static_cast<uint64_t>(rto_est_.rto().ns()),
+       state_ == TcpState::kRecovery ? episode_max_burst_ : 0);
   COUNT(timeouts_total);
   switch (state_) {
     case TcpState::kOpen:
@@ -940,7 +913,6 @@ void Sender::on_rto() {
       break;
     case TcpState::kRecovery:
       COUNT(timeouts_in_recovery);
-      finish_recovery_event(/*completed=*/false, /*timeout=*/true);
       break;
     case TcpState::kLoss:
       COUNT(timeouts_exp_backoff);
@@ -968,8 +940,7 @@ void Sender::on_rto() {
     [[maybe_unused]] const uint64_t forgotten =
         scoreboard_.forget_sack_marks();
     COUNT(sack_reneg_events);
-    PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kSackReneg, 0,
-              0, snd_una_, forgotten);
+    EMIT(obs::TraceType::kSackReneg, 0, 0, snd_una_, forgotten);
   }
   scoreboard_.on_timeout_mark_all_lost();
   rto_head_retransmit_pending_ = true;
@@ -1028,8 +999,7 @@ void Sender::abort_connection() {
   aborted_ = true;
   ADD(failed_retransmits, retransmits_since_progress_);
   COUNT(connections_aborted);
-  PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kAbort, 0, 0,
-            snd_una_, snd_nxt_);
+  EMIT(obs::TraceType::kAbort, 0, 0, snd_una_, snd_nxt_);
   rto_timer_.stop();
   er_timer_.stop();
   tlp_timer_.stop();
@@ -1053,10 +1023,8 @@ void Sender::note_transmit_state_change() {
   // Called after every state_ assignment, so this is the single point
   // that sees all CA-state transitions.
   if (state_ != traced_state_) {
-    PRR_TRACE(recorder_, sim_.now(), conn_id_, obs::TraceType::kStateChange,
-              static_cast<uint8_t>(traced_state_),
-              static_cast<uint16_t>(state_), cwnd_, ssthresh_, snd_una_,
-              snd_nxt_);
+    EMIT(obs::TraceType::kStateChange, static_cast<uint8_t>(traced_state_),
+         static_cast<uint16_t>(state_), cwnd_, ssthresh_, snd_una_, snd_nxt_);
     traced_state_ = state_;
   }
   const bool now_loss = !aborted_ && (state_ == TcpState::kRecovery ||
@@ -1084,5 +1052,6 @@ sim::Time Sender::loss_recovery_time() const {
 
 #undef COUNT
 #undef ADD
+#undef EMIT
 
 }  // namespace prr::tcp

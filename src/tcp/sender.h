@@ -17,9 +17,9 @@
 
 #include "core/prr.h"
 #include "net/segment.h"
+#include "obs/episodes.h"
 #include "obs/flight_recorder.h"
 #include "sim/simulator.h"
-#include "stats/recovery_log.h"
 #include "tcp/cc/congestion_control.h"
 #include "tcp/metrics.h"
 #include "tcp/recovery/recovery.h"
@@ -143,18 +143,20 @@ class Sender {
  public:
   using SendFn = std::function<void(net::Segment&&)>;
 
+  // `episodes` (may be null) is the table each fast-recovery episode's
+  // row is folded into as the episode closes.
   Sender(sim::Simulator& sim, SenderConfig config, SendFn send,
-         Metrics* metrics, stats::RecoveryLog* recovery_log);
+         Metrics* metrics, obs::EpisodeTable* episodes);
 
   // Pool-recycle: returns the sender to the state a fresh construction
-  // with (config, metrics, recovery_log) would produce, keeping the send
+  // with (config, metrics, episodes) would produce, keeping the send
   // callback and all container/timer capacity. Every observer hook and
   // the flight-recorder attachment are cleared — per-connection wiring
   // (invariant checker, watchdog, app) captures objects that die with
   // the connection, so stale hooks must never survive into the next one.
   // Precondition: the owning Simulator has been reset.
   void reset(SenderConfig config, Metrics* metrics,
-             stats::RecoveryLog* recovery_log);
+             obs::EpisodeTable* episodes);
 
   // ---- application interface ----
   // Appends `bytes` to the send buffer and transmits what the window
@@ -173,8 +175,6 @@ class Sender {
   std::function<void(uint64_t, uint32_t, bool)> on_transmit_hook;
   // Fired when snd.una advances (new value).
   std::function<void(uint64_t)> on_una_advance_hook;
-  // Fired for every incoming ACK segment before processing.
-  std::function<void(const net::Segment&)> on_ack_hook;
   // Fired after an ACK has been fully processed (state machine, window
   // regulation, and transmissions done) — the invariant checker's
   // observation point (tcp/invariants.h).
@@ -190,15 +190,20 @@ class Sender {
   // readings.
   std::function<void(int64_t)> on_ack_cost_hook;
 
-  // ---- flight recorder (obs/) ----
-  // Attaches (or, with nullptr, detaches) a flight recorder: state
-  // transitions, per-ACK window/PRR decisions, (re)transmissions, RTO
-  // and undo events, and loss-timer activity are written as TraceRecords
-  // tagged with `conn_id`. Pure observation — recording changes no
-  // sender behavior, so aggregates are bit-identical with or without it.
+  // ---- observation (obs/) ----
+  // The sender says what it did as TraceRecords tagged with `conn_id`:
+  // state transitions, per-ACK window/PRR decisions, (re)transmissions,
+  // RTO and undo events, and loss-timer activity. They go to two fixed
+  // sinks: the flight recorder, when one is attached, and the episode
+  // table given at construction/reset. Attaches (or, with nullptr,
+  // detaches) the recorder and sets the id both sinks see. Pure
+  // observation — aggregates are bit-identical with or without a ring.
   void set_recorder(obs::FlightRecorder* recorder, uint32_t conn_id);
   obs::FlightRecorder* recorder() const { return recorder_; }
   uint32_t conn_id() const { return conn_id_; }
+  // Closes a fast-recovery episode still open at the end of a run as
+  // truncated, so the table's total() counts every episode entered.
+  void close_open_episode();
 
   // ---- inspection (tests, experiments) ----
   TcpState state() const { return state_; }
@@ -251,7 +256,6 @@ class Sender {
   void maybe_enter_recovery(const AckOutcome& out);
   void enter_recovery(uint64_t delivered_on_trigger, bool via_er);
   void exit_recovery();
-  void finish_recovery_event(bool completed, bool timeout);
 
   void check_early_retransmit(const AckOutcome& out);
   void on_er_timer();
@@ -287,12 +291,23 @@ class Sender {
   // so the two paths cannot drift (fresh == recycled by construction).
   void reset_core_state();
 
+  // The one emission point: hands `r` to each attached sink. Sites build
+  // a record only when observed(type, a) (the EMIT macro in sender.cc):
+  // a sender with neither sink pays one branch per site, and one feeding
+  // only its table builds just the records the table reads.
+  bool observed(obs::TraceType type, uint8_t a) const {
+    return recorder_ != nullptr ||
+           (episodes_.table() != nullptr &&
+            obs::EpisodeBuilder::table_reads(type, a,
+                                             episodes_.in_episode()));
+  }
+  void emit(const obs::TraceRecord& r);
+
   sim::Simulator& sim_;
   SenderConfig config_;
   SendFn send_;
   Metrics* metrics_;  // shared, may be null
   Metrics local_;
-  stats::RecoveryLog* recovery_log_;  // may be null
 
   // ---- hot per-ACK fields ----
   // Every scalar the common process_ack -> try_send cycle reads or
@@ -330,6 +345,10 @@ class Sender {
   // traced per-ACK path needs the PRR internals and must not pay a
   // dynamic_cast per ACK for them.
   const PrrRecovery* prr_policy_ = nullptr;
+  // The episode-table sink (see the recorder below). Declared before the
+  // timers so it outlives them: a timer pending at destruction traces
+  // its cancel through emit().
+  obs::EpisodeBuilder episodes_;
   Scoreboard scoreboard_;
   RtoEstimator rto_est_;
   sim::Timer rto_timer_;
@@ -352,7 +371,11 @@ class Sender {
   int undo_retrans_ = 0;
   bool spurious_seen_ = false;
   std::deque<std::pair<uint64_t, uint64_t>> retx_history_;
-  stats::RecoveryEvent current_event_;
+  // Tallies of the open episode, carried on the record that closes it
+  // (kExitRecovery, kUndo or kRtoFired).
+  uint64_t episode_retransmits_ = 0;
+  uint64_t episode_bytes_sent_ = 0;
+  uint64_t episode_max_burst_ = 0;
   uint64_t burst_in_progress_ = 0;
 
   // Loss (RTO) episode state.
@@ -370,9 +393,10 @@ class Sender {
   uint64_t prior_loss_cwnd_ = 0;
   uint64_t prior_loss_ssthresh_ = 0;
 
-  // Flight recorder attachment (null = not tracing) and the last state
-  // recorded, so note_transmit_state_change() can emit exactly one
-  // kStateChange per transition.
+  // The ring sink (null = no ring); episodes_ above is the other.
+  // traced_state_ is the last state emitted, so
+  // note_transmit_state_change() can emit exactly one kStateChange per
+  // transition.
   obs::FlightRecorder* recorder_ = nullptr;
   uint32_t conn_id_ = 0;
   TcpState traced_state_ = TcpState::kOpen;

@@ -49,7 +49,6 @@ RunOptions abort_options(uint64_t seed) {
   opts.check_invariants = true;
   opts.torture_oracles = true;
   opts.collect_outcomes = true;
-  opts.collect_episodes = true;
   return opts;
 }
 
@@ -107,12 +106,12 @@ TEST(AbortAccounting, EpisodeTableStillReconcilesWithAnAbortedConnection) {
   // Episodes cut short by the abort are still closed out, the table's
   // stream counters mirror the sender's own metrics exactly, and every
   // row is well-formed.
-  EXPECT_EQ(res.episodes.stream().timeouts_total, res.metrics.timeouts_total);
-  EXPECT_EQ(res.episodes.stream().retransmits_total,
+  EXPECT_EQ(res.recovery_log.stream().timeouts_total, res.metrics.timeouts_total);
+  EXPECT_EQ(res.recovery_log.stream().retransmits_total,
             res.metrics.retransmits_total);
-  EXPECT_EQ(res.episodes.total(),
+  EXPECT_EQ(res.recovery_log.total(),
             static_cast<std::size_t>(res.metrics.fast_recovery_events));
-  for (const auto& row : res.episodes.rows()) {
+  for (const auto& row : res.recovery_log.rows()) {
     EXPECT_GE(row.end_ns, row.start_ns);
   }
 }

@@ -34,13 +34,13 @@ void expect_identical(const ArmResult& fresh, const ArmResult& pooled) {
   EXPECT_EQ(fresh.acks_checked, pooled.acks_checked);
   EXPECT_EQ(fresh.invariant_violations, pooled.invariant_violations);
 
-  const auto& fe = fresh.recovery_log.events();
-  const auto& pe = pooled.recovery_log.events();
+  const auto& fe = fresh.recovery_log.rows();
+  const auto& pe = pooled.recovery_log.rows();
   ASSERT_EQ(fe.size(), pe.size());
   for (std::size_t i = 0; i < fe.size(); ++i) {
     SCOPED_TRACE("recovery event " + std::to_string(i));
-    EXPECT_EQ(fe[i].start, pe[i].start);
-    EXPECT_EQ(fe[i].end, pe[i].end);
+    EXPECT_EQ(fe[i].start(), pe[i].start());
+    EXPECT_EQ(fe[i].end(), pe[i].end());
     EXPECT_EQ(fe[i].cwnd_at_start, pe[i].cwnd_at_start);
     EXPECT_EQ(fe[i].cwnd_at_exit, pe[i].cwnd_at_exit);
     EXPECT_EQ(fe[i].retransmits, pe[i].retransmits);
@@ -125,7 +125,6 @@ TEST(ConnArena, PooledEqualsFreshTraced) {
   opts.connections = 80;
   opts.seed = 55;
   opts.trace = true;
-  opts.collect_episodes = true;
   expect_identical(run(pop, opts, false), run(pop, opts, true));
 }
 

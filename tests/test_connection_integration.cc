@@ -190,7 +190,7 @@ TEST(ConnectionIntegration2, RecoveryLogAndMetricsConsistent) {
   cfg.sender.handshake_rtt = 60_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(3), 60_ms);
   Metrics metrics;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   Connection conn(sim, cfg, rng, &metrics, &rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.03, rng.fork(9)));
@@ -199,7 +199,7 @@ TEST(ConnectionIntegration2, RecoveryLogAndMetricsConsistent) {
   ASSERT_TRUE(conn.sender().all_acked());
   EXPECT_EQ(rlog.count(), metrics.fast_recovery_events);
   uint64_t event_retx = 0;
-  for (const auto& e : rlog.events()) event_retx += e.retransmits;
+  for (const auto& e : rlog.rows()) event_retx += e.retransmits;
   EXPECT_EQ(event_retx, metrics.fast_retransmits);
   // Connection-local counters equal the shared ones for a single conn.
   EXPECT_EQ(conn.sender().local_metrics().retransmits_total,

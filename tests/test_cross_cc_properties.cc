@@ -65,7 +65,7 @@ TEST_P(CrossCcTest, PrrExitsAtWhateverSsthreshTheCcChose) {
   cfg.sender.handshake_rtt = 60_ms;
   cfg.path =
       net::Path::Config::symmetric(util::DataRate::mbps(6), 60_ms, 150);
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   Connection conn(sim, cfg, sim::Rng(23), nullptr, &rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::BernoulliLoss>(0.02, sim::Rng(24)));
@@ -73,8 +73,8 @@ TEST_P(CrossCcTest, PrrExitsAtWhateverSsthreshTheCcChose) {
   sim.run(sim::Time::seconds(600));
   ASSERT_TRUE(conn.sender().all_acked());
   int checked = 0;
-  for (const auto& e : rlog.events()) {
-    if (!e.completed || e.interrupted_by_timeout) continue;
+  for (const auto& e : rlog.rows()) {
+    if (!e.completed() || e.interrupted_by_timeout()) continue;
     // With continuous data available, PRR's exit window is the CC's
     // target (within one MSS of quantization).
     EXPECT_LE(e.cwnd_after_exit, e.ssthresh + 1430) << combo_name(
@@ -113,7 +113,7 @@ TEST(CubicPrrIntegration, ProportionalRatioRoughlySevenOfTen) {
   cfg.sender.handshake_rtt = 100_ms;
   cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(2.4),
                                           100_ms, 300);
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   Connection conn(sim, cfg, sim::Rng(31), nullptr, &rlog);
   // Drop exactly one early segment from a 30-segment window.
   conn.path().data_link().set_loss_model(
@@ -123,12 +123,12 @@ TEST(CubicPrrIntegration, ProportionalRatioRoughlySevenOfTen) {
   sim.run(sim::Time::seconds(30));
   ASSERT_TRUE(conn.sender().all_acked());
   ASSERT_EQ(rlog.count(), 1u);
-  const auto& e = rlog.events()[0];
+  const auto& e = rlog.rows()[0];
   // CUBIC: ssthresh = 0.7 * cwnd at entry.
   EXPECT_NEAR(static_cast<double>(e.ssthresh) /
                   static_cast<double>(e.cwnd_at_start),
               0.7, 0.02);
-  EXPECT_TRUE(e.completed);
+  EXPECT_TRUE(e.completed());
   EXPECT_EQ(e.cwnd_after_exit, e.ssthresh);
 }
 

@@ -135,7 +135,7 @@ TEST_F(EcnConnectionTest, CwrConvergesTowardSsthresh) {
   // Track the window right after each CWR episode via a probe on ACKs.
   uint64_t min_cwnd_after_reduction = UINT64_MAX;
   bool was_reducing = false;
-  conn->sender().on_ack_hook = [&](const net::Segment&) {
+  conn->sender().on_post_ack_hook = [&](const net::Segment&) {
     const uint64_t cwnd = conn->sender().cwnd_bytes();
     const uint64_t ssthresh = conn->sender().ssthresh_bytes();
     if (ssthresh != UINT64_MAX && cwnd <= ssthresh + kMss) {

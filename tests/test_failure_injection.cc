@@ -27,7 +27,7 @@ ConnectionConfig base_config() {
 TEST(FailureInjection, ClientDiesDuringRecovery) {
   sim::Simulator sim;
   Metrics m;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   Connection conn(sim, base_config(), sim::Rng(1), &m, &rlog);
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{1, 2}));
@@ -38,8 +38,8 @@ TEST(FailureInjection, ClientDiesDuringRecovery) {
   EXPECT_TRUE(conn.sender().aborted());
   EXPECT_TRUE(sim.idle());
   // The interrupted recovery event is still logged coherently.
-  for (const auto& e : rlog.events()) {
-    EXPECT_GE(e.end.ns(), e.start.ns());
+  for (const auto& e : rlog.rows()) {
+    EXPECT_GE(e.end().ns(), e.start().ns());
   }
 }
 

@@ -61,7 +61,7 @@ class NewRenoRecoveryTest : public ::testing::Test {
 
   sim::Simulator sim;
   Metrics metrics;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };
@@ -170,8 +170,9 @@ TEST_F(NewRenoRecoveryTest, NonSackReceiverSendsPlainDupacks) {
       net::Path::Config::symmetric(util::DataRate::mbps(4), 80_ms, 100);
   Connection conn(fullsim, cfg, sim::Rng(7), nullptr, nullptr);
   int dupacks_with_sack = 0;
-  conn.sender().on_ack_hook = [&](const net::Segment& a) {
-    if (!a.sacks.empty()) ++dupacks_with_sack;
+  conn.path().wire_tap = [&](const net::Segment& seg, bool is_ack,
+                             sim::Time) {
+    if (is_ack && !seg.sacks.empty()) ++dupacks_with_sack;
   };
   conn.path().data_link().set_loss_model(
       std::make_unique<net::DeterministicLoss>(std::set<uint64_t>{3}));

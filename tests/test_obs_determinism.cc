@@ -46,9 +46,9 @@ uint64_t fingerprint(const exp::ArmResult& r) {
     f.mix(resp.bytes);
     f.mix(static_cast<uint64_t>(resp.last_byte_acked.ns()));
   }
-  for (const auto& ev : r.recovery_log.events()) {
-    f.mix(static_cast<uint64_t>(ev.start.ns()));
-    f.mix(static_cast<uint64_t>(ev.end.ns()));
+  for (const auto& ev : r.recovery_log.rows()) {
+    f.mix(static_cast<uint64_t>(ev.start().ns()));
+    f.mix(static_cast<uint64_t>(ev.end().ns()));
     f.mix(ev.cwnd_at_exit);
     f.mix(ev.retransmits);
   }

@@ -1,19 +1,23 @@
 // Episode analytics (obs/episodes.h): the builder's state machine on a
-// hand-driven single-loss recovery, field-exact reconciliation against
-// stats::RecoveryLog and tcp::Metrics on a real sweep, and the
-// determinism contract (thread count and tracing must not change the
-// table).
+// hand-driven single-loss recovery, the sender's live table against the
+// rows the same records derive through a ring listener, the table's
+// stream counters against tcp::Metrics on real sweeps, bounded vs
+// unbounded tables, and the determinism contract (thread count and
+// tracing must not change the table).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "exp/experiment.h"
+#include "exp/scenarios.h"
 #include "obs/episodes.h"
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "tcp/sender.h"
+#include "workload/video_workload.h"
 #include "workload/web_workload.h"
 
 namespace prr::obs {
@@ -22,6 +26,48 @@ namespace {
 using namespace prr::sim::literals;
 
 constexpr uint32_t kMss = 1000;
+
+// Every field of two rows, so a mismatch names the field.
+void expect_same_row(const EpisodeSummary& a, const EpisodeSummary& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.conn, b.conn) << where;
+  EXPECT_EQ(a.start_ns, b.start_ns) << where;
+  EXPECT_EQ(a.end_ns, b.end_ns) << where;
+  EXPECT_EQ(a.pipe_at_start, b.pipe_at_start) << where;
+  EXPECT_EQ(a.ssthresh, b.ssthresh) << where;
+  EXPECT_EQ(a.cwnd_at_start, b.cwnd_at_start) << where;
+  EXPECT_EQ(a.cwnd_at_exit, b.cwnd_at_exit) << where;
+  EXPECT_EQ(a.cwnd_after_exit, b.cwnd_after_exit) << where;
+  EXPECT_EQ(a.pipe_at_exit, b.pipe_at_exit) << where;
+  EXPECT_EQ(a.flight_at_start, b.flight_at_start) << where;
+  EXPECT_EQ(a.recovery_point, b.recovery_point) << where;
+  EXPECT_EQ(a.mss, b.mss) << where;
+  EXPECT_EQ(a.exit, b.exit) << where;
+  EXPECT_EQ(a.via_early_retransmit, b.via_early_retransmit) << where;
+  EXPECT_EQ(a.slow_start_after, b.slow_start_after) << where;
+  EXPECT_EQ(a.acks, b.acks) << where;
+  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes) << where;
+  EXPECT_EQ(a.sndcnt_bytes, b.sndcnt_bytes) << where;
+  EXPECT_EQ(a.retransmits, b.retransmits) << where;
+  EXPECT_EQ(a.bytes_sent_during, b.bytes_sent_during) << where;
+  EXPECT_EQ(a.max_burst_segments, b.max_burst_segments) << where;
+  EXPECT_EQ(a.sacks_seen, b.sacks_seen) << where;
+  EXPECT_EQ(a.dsacks_seen, b.dsacks_seen) << where;
+}
+
+void expect_stream_matches_metrics(const EpisodeBuilder::StreamCounts& s,
+                                   const tcp::Metrics& m,
+                                   const std::string& where) {
+  EXPECT_EQ(s.data_segments_sent, m.data_segments_sent) << where;
+  EXPECT_EQ(s.retransmits_total, m.retransmits_total) << where;
+  EXPECT_EQ(s.fast_retransmits, m.fast_retransmits) << where;
+  EXPECT_EQ(s.dsacks_received, m.dsacks_received) << where;
+  EXPECT_EQ(s.undo_events, m.undo_events) << where;
+  EXPECT_EQ(s.lost_retransmits_detected, m.lost_retransmits_detected)
+      << where;
+  EXPECT_EQ(s.lost_fast_retransmits, m.lost_fast_retransmits) << where;
+  EXPECT_EQ(s.timeouts_total, m.timeouts_total) << where;
+}
 
 class EpisodeBuilderTest : public ::testing::Test {
  protected:
@@ -32,7 +78,7 @@ class EpisodeBuilderTest : public ::testing::Test {
     cfg.cc = tcp::CcKind::kNewReno;
     cfg.recovery = kind;
     sender = std::make_unique<tcp::Sender>(
-        sim, cfg, [](net::Segment) {}, &metrics, &rlog);
+        sim, cfg, [](net::Segment) {}, &metrics, &table);
     recorder = std::make_unique<FlightRecorder>(1u << 12);
     recorder->add_listener(
         [this](const TraceRecord& r) { builder.on_record(r); });
@@ -60,13 +106,23 @@ class EpisodeBuilderTest : public ::testing::Test {
     ASSERT_EQ(sender->state(), tcp::TcpState::kRecovery);
   }
 
+  // The sender's live row and the row a ring listener derived from the
+  // same records are the same row.
+  void expect_live_row_matches_listener() {
+    ASSERT_EQ(table.rows().size(), builder.episodes().size());
+    for (std::size_t i = 0; i < table.rows().size(); ++i) {
+      expect_same_row(table.rows()[i], builder.episodes()[i].summary,
+                      "episode " + std::to_string(i));
+    }
+  }
+
   // Declaration order doubles as a lifetime contract: the sender's
   // destructor cancels pending timers, which writes trace records
   // through the recorder into the builder — so the sender must be
   // destroyed first (declared last), the recorder second, builder last.
   sim::Simulator sim;
   tcp::Metrics metrics;
-  stats::RecoveryLog rlog;
+  EpisodeTable table;
   EpisodeBuilder builder{EpisodeBuilder::Options{.keep_ledgers = true}};
   std::unique_ptr<FlightRecorder> recorder;
   std::unique_ptr<tcp::Sender> sender;
@@ -84,28 +140,25 @@ TEST_F(EpisodeBuilderTest, SingleLossEpisodeMatchesRecoveryLog) {
   ASSERT_EQ(sender->state(), tcp::TcpState::kOpen);
   builder.finish();
 
-  ASSERT_EQ(rlog.count(), 1u);
+  ASSERT_EQ(table.count(), 1u);
   ASSERT_EQ(builder.episodes().size(), 1u);
+  expect_live_row_matches_listener();
   const RecoveryEpisode& ep = builder.episodes()[0];
-  const stats::RecoveryEvent& ev = rlog.events()[0];
+  const EpisodeSummary& row = table.rows()[0];
 
-  EXPECT_EQ(ep.summary.exit, EpisodeExit::kCompleted);
-  EXPECT_EQ(ep.summary.conn, 1u);
-  EXPECT_EQ(ep.summary.start_ns, ev.start.ns());
-  EXPECT_EQ(ep.summary.end_ns, ev.end.ns());
-  EXPECT_EQ(ep.summary.pipe_at_start, ev.pipe_at_start);
-  EXPECT_EQ(ep.summary.ssthresh, ev.ssthresh);
-  EXPECT_EQ(ep.summary.cwnd_at_start, ev.cwnd_at_start);
-  EXPECT_EQ(ep.summary.cwnd_at_exit, ev.cwnd_at_exit);
-  EXPECT_EQ(ep.summary.cwnd_after_exit, ev.cwnd_after_exit);
-  EXPECT_EQ(ep.summary.pipe_at_exit, ev.pipe_at_exit);
-  EXPECT_EQ(ep.summary.mss, ev.mss);
-  EXPECT_EQ(ep.summary.retransmits, ev.retransmits);
-  EXPECT_EQ(ep.summary.bytes_sent_during, ev.bytes_sent_during);
-  EXPECT_EQ(ep.summary.max_burst_segments, ev.max_burst_segments);
-  EXPECT_EQ(ep.summary.completed(), ev.completed);
-  EXPECT_EQ(ep.summary.slow_start_after, ev.slow_start_after);
-  EXPECT_FALSE(ep.summary.interrupted_by_timeout());
+  // NewReno halves the 20-segment window; PRR exits at ssthresh after
+  // retransmitting the one lost segment.
+  EXPECT_EQ(row.exit, EpisodeExit::kCompleted);
+  EXPECT_EQ(row.conn, 1u);
+  EXPECT_EQ(row.mss, kMss);
+  EXPECT_EQ(row.cwnd_at_start, 20u * kMss);
+  EXPECT_EQ(row.ssthresh, 10u * kMss);
+  EXPECT_EQ(row.cwnd_after_exit, sender->ssthresh_bytes());
+  EXPECT_EQ(row.retransmits, 1u);
+  EXPECT_EQ(row.recovery_point, 20u * kMss);
+  EXPECT_TRUE(row.completed());
+  EXPECT_FALSE(row.interrupted_by_timeout());
+  EXPECT_FALSE(row.slow_start_after);
 
   // The ledger carries one row per in-recovery ACK, with the PRR
   // annotations riding on the rows where the PRR policy ran.
@@ -113,22 +166,22 @@ TEST_F(EpisodeBuilderTest, SingleLossEpisodeMatchesRecoveryLog) {
   ASSERT_FALSE(ep.ledger.empty());
   bool any_prr = false;
   uint64_t delivered = 0;
-  for (const EpisodeAck& row : ep.ledger) {
-    delivered += row.delivered;
-    any_prr |= row.prr_valid;
-    EXPECT_EQ(row.ssthresh, ev.ssthresh);
+  for (const EpisodeAck& a : ep.ledger) {
+    delivered += a.delivered;
+    any_prr |= a.prr_valid;
+    EXPECT_EQ(a.ssthresh, row.ssthresh);
   }
   EXPECT_TRUE(any_prr);
-  EXPECT_EQ(ep.summary.delivered_bytes, delivered);
+  EXPECT_EQ(row.delivered_bytes, delivered);
+  // The trajectory after exit is the listener's alone: here the one
+  // post-recovery ACK, the one that ended the episode.
+  ASSERT_EQ(ep.post_cwnd_count, 1u);
+  EXPECT_EQ(ep.post_cwnd[0], sender->cwnd_bytes());
 
-  // Stream counters mirror the Metrics accumulator.
-  const EpisodeBuilder::StreamCounts& s = builder.stream();
-  EXPECT_EQ(s.data_segments_sent, metrics.data_segments_sent);
-  EXPECT_EQ(s.retransmits_total, metrics.retransmits_total);
-  EXPECT_EQ(s.fast_retransmits, metrics.fast_retransmits);
-  EXPECT_EQ(s.dsacks_received, metrics.dsacks_received);
-  EXPECT_EQ(s.undo_events, metrics.undo_events);
-  EXPECT_EQ(s.timeouts_total, metrics.timeouts_total);
+  // Stream counters mirror the Metrics accumulator, in the table and in
+  // the listener's builder.
+  expect_stream_matches_metrics(table.stream(), metrics, "table");
+  expect_stream_matches_metrics(builder.stream(), metrics, "listener");
 }
 
 TEST_F(EpisodeBuilderTest, DsackUndoClosesEpisodeAsUndo) {
@@ -141,14 +194,14 @@ TEST_F(EpisodeBuilderTest, DsackUndoClosesEpisodeAsUndo) {
   builder.finish();
 
   ASSERT_EQ(builder.episodes().size(), 1u);
-  const EpisodeSummary& s = builder.episodes()[0].summary;
+  expect_live_row_matches_listener();
+  const EpisodeSummary& s = table.rows()[0];
   EXPECT_EQ(s.exit, EpisodeExit::kUndo);
-  EXPECT_TRUE(s.completed());  // RecoveryLog counts undo as completed
-  EXPECT_EQ(builder.stream().undo_events, 1u);
+  EXPECT_TRUE(s.completed());  // an undo completes the episode
+  EXPECT_EQ(table.stream().undo_events, 1u);
   EXPECT_EQ(s.dsacks_seen, 1u);
-  ASSERT_EQ(rlog.count(), 1u);
-  EXPECT_EQ(s.cwnd_after_exit, rlog.events()[0].cwnd_after_exit);
-  EXPECT_EQ(s.slow_start_after, rlog.events()[0].slow_start_after);
+  EXPECT_EQ(s.cwnd_after_exit, 20u * kMss);  // the prior window restored
+  EXPECT_EQ(table.count(), 1u);
 }
 
 TEST_F(EpisodeBuilderTest, RtoMidRecoveryClosesEpisodeAsInterrupted) {
@@ -159,27 +212,31 @@ TEST_F(EpisodeBuilderTest, RtoMidRecoveryClosesEpisodeAsInterrupted) {
   builder.finish();
 
   ASSERT_GE(builder.episodes().size(), 1u);
-  const EpisodeSummary& s = builder.episodes()[0].summary;
+  expect_live_row_matches_listener();
+  const EpisodeSummary& s = table.rows()[0];
   EXPECT_EQ(s.exit, EpisodeExit::kRtoInterrupted);
   EXPECT_TRUE(s.interrupted_by_timeout());
   EXPECT_FALSE(s.completed());
-  ASSERT_GE(rlog.count(), 1u);
-  EXPECT_TRUE(rlog.events()[0].interrupted_by_timeout);
-  EXPECT_EQ(s.slow_start_after, rlog.events()[0].slow_start_after);
+  EXPECT_EQ(s.cwnd_after_exit, 0u);  // no exit adjustment on this path
+  EXPECT_DOUBLE_EQ(table.fraction_with_timeout(), 1.0);
 }
 
 TEST_F(EpisodeBuilderTest, StreamEndMidRecoveryTruncates) {
   make(tcp::RecoveryKind::kPrr);
   enter_single_loss();
   builder.finish();  // stream ends while recovery is in progress
+  EXPECT_EQ(table.total(), 0u);  // the live row waits for its close
+  sender->close_open_episode();
 
   ASSERT_EQ(builder.episodes().size(), 1u);
   EXPECT_EQ(builder.episodes()[0].summary.exit, EpisodeExit::kTruncated);
+  expect_live_row_matches_listener();
 
   EpisodeTable t;
   t.fold(builder);
+  EXPECT_EQ(t.to_json(), table.to_json());
   EXPECT_EQ(t.total(), 1u);
-  EXPECT_EQ(t.finished(), 0u);  // truncated rows leave the mirrors empty
+  EXPECT_EQ(t.count(), 0u);  // truncated rows leave the views empty
   EXPECT_EQ(t.truncated(), 1u);
   EXPECT_EQ(t.pipe_minus_ssthresh_segs().count(), 0u);
 }
@@ -191,87 +248,121 @@ class EpisodeSweepTest : public ::testing::Test {
     opts.connections = 600;
     opts.seed = 9;
     opts.threads = 1;
-    opts.collect_episodes = true;
     return opts;
   }
 };
 
 TEST_F(EpisodeSweepTest, SweepReconcilesWithRecoveryLogAndMetrics) {
-  workload::WebWorkload pop;
-  const exp::ArmResult r =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), base_opts());
-
-  ASSERT_GT(r.episodes.total(), 0u);
-  EXPECT_EQ(r.episodes.finished(), r.recovery_log.count());
-  EXPECT_EQ(r.episodes.total(), r.metrics.fast_recovery_events);
-
-  // Every finished episode row must equal the recovery-log event of the
-  // same index, field for field.
-  std::vector<const EpisodeSummary*> finished;
-  for (const EpisodeSummary& row : r.episodes.rows()) {
-    if (row.finished()) finished.push_back(&row);
+  // The table's stream counters and episode total against the sender's
+  // own Metrics, on every arm, both populations, serial and threaded.
+  workload::WebWorkload web;
+  workload::VideoWorkload video;
+  const struct {
+    const workload::Population* pop;
+    const char* name;
+    int connections;
+  } populations[] = {{&web, "web", 400}, {&video, "video", 24}};
+  const exp::ArmConfig arms[] = {exp::ArmConfig::prr_arm(),
+                                 exp::ArmConfig::rfc3517_arm(),
+                                 exp::ArmConfig::linux_arm()};
+  for (const auto& p : populations) {
+    for (const exp::ArmConfig& arm : arms) {
+      for (int threads : {1, 4}) {
+        exp::RunOptions opts = base_opts();
+        opts.connections = p.connections;
+        opts.threads = threads;
+        const exp::ArmResult r = exp::run_arm(*p.pop, arm, opts);
+        const std::string where = std::string(p.name) + " " + arm.name +
+                                  " threads=" + std::to_string(threads);
+        const EpisodeTable& tab = r.recovery_log;
+        ASSERT_GT(tab.total(), 0u) << where;
+        EXPECT_EQ(tab.total(), r.metrics.fast_recovery_events) << where;
+        EXPECT_EQ(tab.rows().size(), tab.total()) << where;
+        expect_stream_matches_metrics(tab.stream(), r.metrics, where);
+      }
+    }
   }
-  ASSERT_EQ(finished.size(), r.recovery_log.events().size());
-  for (std::size_t i = 0; i < finished.size(); ++i) {
-    const EpisodeSummary& ep = *finished[i];
-    const stats::RecoveryEvent& ev = r.recovery_log.events()[i];
-    ASSERT_EQ(ep.start_ns, ev.start.ns()) << "event " << i;
-    ASSERT_EQ(ep.end_ns, ev.end.ns()) << "event " << i;
-    ASSERT_EQ(ep.pipe_at_start, ev.pipe_at_start) << "event " << i;
-    ASSERT_EQ(ep.ssthresh, ev.ssthresh) << "event " << i;
-    ASSERT_EQ(ep.cwnd_at_start, ev.cwnd_at_start) << "event " << i;
-    ASSERT_EQ(ep.cwnd_at_exit, ev.cwnd_at_exit) << "event " << i;
-    ASSERT_EQ(ep.cwnd_after_exit, ev.cwnd_after_exit) << "event " << i;
-    ASSERT_EQ(ep.pipe_at_exit, ev.pipe_at_exit) << "event " << i;
-    ASSERT_EQ(ep.mss, ev.mss) << "event " << i;
-    ASSERT_EQ(ep.retransmits, ev.retransmits) << "event " << i;
-    ASSERT_EQ(ep.bytes_sent_during, ev.bytes_sent_during) << "event " << i;
-    ASSERT_EQ(ep.max_burst_segments, ev.max_burst_segments)
-        << "event " << i;
-    ASSERT_EQ(ep.interrupted_by_timeout(), ev.interrupted_by_timeout)
-        << "event " << i;
-    ASSERT_EQ(ep.completed(), ev.completed) << "event " << i;
-    ASSERT_EQ(ep.slow_start_after, ev.slow_start_after) << "event " << i;
-  }
-
-  // Stream counters mirror Metrics.
-  const EpisodeBuilder::StreamCounts& s = r.episodes.stream();
-  EXPECT_EQ(s.data_segments_sent, r.metrics.data_segments_sent);
-  EXPECT_EQ(s.retransmits_total, r.metrics.retransmits_total);
-  EXPECT_EQ(s.fast_retransmits, r.metrics.fast_retransmits);
-  EXPECT_EQ(s.dsacks_received, r.metrics.dsacks_received);
-  EXPECT_EQ(s.undo_events, r.metrics.undo_events);
-  EXPECT_EQ(s.lost_retransmits_detected,
-            r.metrics.lost_retransmits_detected);
-  EXPECT_EQ(s.lost_fast_retransmits, r.metrics.lost_fast_retransmits);
-  EXPECT_EQ(s.timeouts_total, r.metrics.timeouts_total);
 }
 
 TEST_F(EpisodeSweepTest, TableAccessorsMatchRecoveryLogMirrors) {
+  // Bounded mode drops the rows and nothing else: every count, fraction,
+  // byte sum and histogram reads the same as unbounded. The unbounded
+  // counters are also recounted from the rows by brute force.
   workload::WebWorkload pop;
-  const exp::ArmResult r =
-      exp::run_arm(pop, exp::ArmConfig::prr_arm(), base_opts());
-  const EpisodeTable& tab = r.episodes;
-  const stats::RecoveryLog& log = r.recovery_log;
+  exp::RunOptions opts = base_opts();
+  opts.connections = 2000;
+  opts.seed = 3;
+  const exp::ArmResult full =
+      exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
+  opts.bounded_stats = true;
+  const exp::ArmResult bounded =
+      exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
+  const EpisodeTable& f = full.recovery_log;
+  const EpisodeTable& b = bounded.recovery_log;
+  ASSERT_GT(f.count(), 0u);
+  EXPECT_TRUE(b.rows().empty());
+  EXPECT_EQ(f.rows().size(), f.total());
 
-  EXPECT_DOUBLE_EQ(tab.fraction_start_below_ssthresh(),
-                   log.fraction_start_below_ssthresh());
-  EXPECT_DOUBLE_EQ(tab.fraction_start_equal_ssthresh(),
-                   log.fraction_start_equal_ssthresh());
-  EXPECT_DOUBLE_EQ(tab.fraction_start_above_ssthresh(),
-                   log.fraction_start_above_ssthresh());
-  EXPECT_DOUBLE_EQ(tab.fraction_slow_start_after(),
-                   log.fraction_slow_start_after());
-  EXPECT_DOUBLE_EQ(tab.fraction_with_timeout(),
-                   log.fraction_with_timeout());
-  EXPECT_EQ(tab.pipe_minus_ssthresh_segs().values(),
-            log.pipe_minus_ssthresh_segs().values());
-  EXPECT_EQ(tab.cwnd_minus_ssthresh_exit_segs().values(),
-            log.cwnd_minus_ssthresh_exit_segs().values());
-  EXPECT_EQ(tab.cwnd_after_exit_segs().values(),
-            log.cwnd_after_exit_segs().values());
-  EXPECT_EQ(tab.recovery_time_ms().values(),
-            log.recovery_time_ms().values());
+  std::size_t finished = 0, completed = 0, below = 0, equal = 0, above = 0,
+              slow = 0, rto = 0;
+  uint64_t bytes = 0;
+  for (const EpisodeSummary& s : f.rows()) {
+    if (!s.finished()) continue;
+    ++finished;
+    const int64_t d = static_cast<int64_t>(s.pipe_at_start / s.mss) -
+                      static_cast<int64_t>(s.ssthresh / s.mss);
+    below += d < 0;
+    equal += d == 0;
+    above += d > 0;
+    rto += s.interrupted_by_timeout();
+    bytes += s.bytes_sent_during;
+    if (s.completed()) {
+      ++completed;
+      slow += s.slow_start_after;
+    }
+  }
+  const double n = static_cast<double>(finished);
+  EXPECT_EQ(f.count(), finished);
+  EXPECT_DOUBLE_EQ(f.fraction_start_below_ssthresh(), below / n);
+  EXPECT_DOUBLE_EQ(f.fraction_start_equal_ssthresh(), equal / n);
+  EXPECT_DOUBLE_EQ(f.fraction_start_above_ssthresh(), above / n);
+  EXPECT_DOUBLE_EQ(f.fraction_with_timeout(), rto / n);
+  EXPECT_DOUBLE_EQ(f.fraction_slow_start_after(),
+                   static_cast<double>(slow) / completed);
+  EXPECT_EQ(f.bytes_sent_during(), bytes);
+  EXPECT_EQ(f.pipe_minus_ssthresh_segs().count(), finished);
+  EXPECT_EQ(f.recovery_time_ms().count(), finished);
+  EXPECT_EQ(f.burst_sizes().count(), finished);
+  EXPECT_EQ(f.cwnd_after_exit_segs().count(), completed);
+  EXPECT_EQ(f.cwnd_minus_ssthresh_exit_segs().count(), completed);
+
+  EXPECT_EQ(b.total(), f.total());
+  EXPECT_EQ(b.count(), f.count());
+  EXPECT_EQ(b.truncated(), f.truncated());
+  EXPECT_DOUBLE_EQ(b.fraction_start_below_ssthresh(),
+                   f.fraction_start_below_ssthresh());
+  EXPECT_DOUBLE_EQ(b.fraction_start_equal_ssthresh(),
+                   f.fraction_start_equal_ssthresh());
+  EXPECT_DOUBLE_EQ(b.fraction_start_above_ssthresh(),
+                   f.fraction_start_above_ssthresh());
+  EXPECT_DOUBLE_EQ(b.fraction_slow_start_after(),
+                   f.fraction_slow_start_after());
+  EXPECT_DOUBLE_EQ(b.fraction_with_timeout(), f.fraction_with_timeout());
+  EXPECT_EQ(b.bytes_sent_during(), f.bytes_sent_during());
+  EXPECT_EQ(b.duration_us().sum(), f.duration_us().sum());
+  EXPECT_EQ(b.retransmits_per_episode().sum(),
+            f.retransmits_per_episode().sum());
+  EXPECT_EQ(b.acks_per_episode().sum(), f.acks_per_episode().sum());
+  EXPECT_EQ(b.sndcnt_per_episode().sum(), f.sndcnt_per_episode().sum());
+  EXPECT_EQ(b.to_json(), f.to_json());
+  EXPECT_EQ(b.summary_string(), f.summary_string());
+  EXPECT_TRUE(b.pipe_minus_ssthresh_segs().values().empty());
+
+  // The arm-level fraction reads the table's running byte sum, so it
+  // holds in bounded mode too.
+  EXPECT_GT(full.fraction_bytes_in_fast_recovery(), 0.0);
+  EXPECT_DOUBLE_EQ(bounded.fraction_bytes_in_fast_recovery(),
+                   full.fraction_bytes_in_fast_recovery());
 }
 
 TEST_F(EpisodeSweepTest, TableIdenticalAcrossThreadsAndTracing) {
@@ -279,45 +370,60 @@ TEST_F(EpisodeSweepTest, TableIdenticalAcrossThreadsAndTracing) {
   exp::RunOptions opts = base_opts();
   const exp::ArmResult serial =
       exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  const std::string reference = serial.episodes.to_json();
+  const std::string reference = serial.recovery_log.to_json();
   ASSERT_TRUE(json_valid(reference)) << reference;
 
   opts.threads = 3;
   const exp::ArmResult parallel =
       exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  EXPECT_EQ(parallel.episodes.to_json(), reference);
-  EXPECT_EQ(parallel.episodes.rows().size(), serial.episodes.rows().size());
+  EXPECT_EQ(parallel.recovery_log.to_json(), reference);
+  EXPECT_EQ(parallel.recovery_log.rows().size(),
+            serial.recovery_log.rows().size());
 
   opts.trace = true;  // explicit tracing must not change the table
   const exp::ArmResult traced =
       exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  EXPECT_EQ(traced.episodes.to_json(), reference);
+  EXPECT_EQ(traced.recovery_log.to_json(), reference);
 }
 
 TEST_F(EpisodeSweepTest, TraceConnectionCapturesEpisodesWithLedgers) {
-  workload::WebWorkload pop;
+  // The sweep's live rows for a connection equal the rows trace_connection
+  // derives from that connection's full record stream, for every
+  // connection that entered recovery — undo and RTO exits included.
+  // Chaos faults make RTO-interrupted episodes common enough to cover.
+  workload::WebWorkload web;
+  const exp::ChaosPopulation pop(web, exp::ChaosSpec::everything().profile);
   exp::RunOptions opts = base_opts();
-  // Find a connection that entered recovery, then re-trace it.
+  opts.connections = 1500;
   const exp::ArmResult r =
       exp::run_arm(pop, exp::ArmConfig::prr_arm(), opts);
-  ASSERT_GT(r.episodes.finished(), 0u);
-  const uint64_t conn = r.episodes.rows()[0].conn;
+  std::vector<uint32_t> conns;
+  std::set<EpisodeExit> exits;
+  for (const EpisodeSummary& row : r.recovery_log.rows()) {
+    if (conns.empty() || conns.back() != row.conn) conns.push_back(row.conn);
+    exits.insert(row.exit);
+  }
+  ASSERT_GE(conns.size(), 50u);
+  EXPECT_TRUE(exits.count(EpisodeExit::kUndo));
+  EXPECT_TRUE(exits.count(EpisodeExit::kRtoInterrupted));
 
-  const exp::TracedConnection t =
-      exp::trace_connection(pop, exp::ArmConfig::prr_arm(), opts, conn);
-  ASSERT_FALSE(t.records.empty());
-  ASSERT_FALSE(t.episodes.empty());
-  // The re-traced first episode is the same episode the sweep folded.
-  const EpisodeSummary& sweep_row = r.episodes.rows()[0];
-  const EpisodeSummary& traced_row = t.episodes[0].summary;
-  EXPECT_EQ(traced_row.conn, sweep_row.conn);
-  EXPECT_EQ(traced_row.start_ns, sweep_row.start_ns);
-  EXPECT_EQ(traced_row.end_ns, sweep_row.end_ns);
-  EXPECT_EQ(traced_row.delivered_bytes, sweep_row.delivered_bytes);
-  EXPECT_FALSE(t.episodes[0].ledger.empty());
-  EXPECT_EQ(t.episodes[0].ledger.size(), traced_row.acks);
+  std::size_t next = 0;  // rows are grouped by connection, in id order
+  for (const uint32_t conn : conns) {
+    const exp::TracedConnection t =
+        exp::trace_connection(pop, exp::ArmConfig::prr_arm(), opts, conn);
+    ASSERT_FALSE(t.records.empty());
+    for (const RecoveryEpisode& ep : t.episodes) {
+      ASSERT_LT(next, r.recovery_log.rows().size());
+      expect_same_row(r.recovery_log.rows()[next++], ep.summary,
+                      "conn " + std::to_string(conn));
+      EXPECT_EQ(ep.ledger.size(), ep.summary.acks);
+    }
+  }
+  EXPECT_EQ(next, r.recovery_log.rows().size());
   // describe() renders without falling over.
-  EXPECT_FALSE(describe(t.episodes[0]).empty());
+  const exp::TracedConnection first =
+      exp::trace_connection(pop, exp::ArmConfig::prr_arm(), opts, conns[0]);
+  EXPECT_FALSE(describe(first.episodes[0]).empty());
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 // Exporters: Chrome trace-event/Perfetto JSON (golden-string check on a
-// synthetic record set, structural checks on a real lossy transfer) and
-// the ss(8)-style sender snapshot in both text and JSON forms.
+// synthetic record set, structural checks on a real lossy transfer).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,7 +11,6 @@
 #include "obs/instrument.h"
 #include "obs/json.h"
 #include "obs/perfetto.h"
-#include "obs/snapshot.h"
 #include "sim/simulator.h"
 #include "tcp/connection.h"
 
@@ -117,30 +115,6 @@ TEST(Perfetto, RealTransferExportsCleanly) {
   EXPECT_NE(json.find("conn9 window"), std::string::npos);
   EXPECT_NE(json.find("conn9 prr"), std::string::npos);
   EXPECT_NE(json.find("fast recovery"), std::string::npos);
-}
-
-TEST(Snapshot, TextAndJsonForms) {
-  sim::Simulator sim;
-  tcp::ConnectionConfig cfg;
-  cfg.sender.mss = 1000;
-  cfg.path = net::Path::Config::symmetric(util::DataRate::mbps(4),
-                                          sim::Time::milliseconds(40), 100);
-  tcp::Connection conn(sim, cfg, sim::Rng(3), nullptr, nullptr);
-  conn.write(20'000);
-  sim.run(sim::Time::seconds(10));
-  ASSERT_TRUE(conn.sender().all_acked());
-
-  const std::string text = snapshot(conn.sender(), /*conn_id=*/4);
-  EXPECT_NE(text.find("conn 4"), std::string::npos) << text;
-  EXPECT_NE(text.find("state:Open"), std::string::npos) << text;
-  EXPECT_NE(text.find("cwnd:"), std::string::npos) << text;
-  EXPECT_NE(text.find("rto:"), std::string::npos) << text;
-
-  const std::string json = snapshot_json(conn.sender(), /*conn_id=*/4);
-  EXPECT_TRUE(json_valid(json)) << json;
-  EXPECT_NE(json.find("\"conn\":4"), std::string::npos);
-  EXPECT_NE(json.find("\"state\":\"Open\""), std::string::npos);
-  EXPECT_NE(json.find("\"snd_una\":20000"), std::string::npos);
 }
 
 }  // namespace

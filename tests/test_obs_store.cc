@@ -742,7 +742,6 @@ TEST(StoreLive, EpisodesFromStoreReconcile) {
   workload::WebWorkload pop;
   const exp::ArmConfig arm = exp::ArmConfig::prr_arm();
   exp::RunOptions opts = store_opts("episodes.prrstore");
-  opts.collect_episodes = true;
   const exp::ArmResult live = exp::run_arm(pop, arm, opts);
 
   const std::string path =
@@ -755,7 +754,7 @@ TEST(StoreLive, EpisodesFromStoreReconcile) {
                                        &from_store, &err))
       << err;
   // Field-exact reconciliation: same table JSON, same stream counters.
-  EXPECT_EQ(from_store.to_json(), live.episodes.to_json());
+  EXPECT_EQ(from_store.to_json(), live.recovery_log.to_json());
   EXPECT_EQ(from_store.stream().retransmits_total,
             live.metrics.retransmits_total);
   EXPECT_EQ(from_store.stream().timeouts_total, live.metrics.timeouts_total);

@@ -69,7 +69,7 @@ class ScriptedArm {
   // destroyed before either of them.
   sim::Simulator sim_;
   tcp::Metrics metrics_;
-  stats::RecoveryLog rlog_;
+  obs::EpisodeTable rlog_;
   std::vector<TraceRecord> records_;
   std::unique_ptr<FlightRecorder> recorder_;
   std::unique_ptr<tcp::Sender> sender_;

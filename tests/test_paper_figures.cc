@@ -24,8 +24,8 @@ TEST(Fig2, PrrExitsRecoveryAtSsthresh) {
   FigureRun run = run_figure_scenario(FigureScenario::fig2(
       RecoveryKind::kPrr));
   ASSERT_EQ(run.recovery_log.count(), 1u);
-  const auto& e = run.recovery_log.events()[0];
-  EXPECT_TRUE(e.completed);
+  const auto& e = run.recovery_log.rows()[0];
+  EXPECT_TRUE(e.completed());
   // Reno halves IW20 -> ssthresh 10 segments; PRR converges exactly.
   EXPECT_EQ(e.ssthresh, 10'000u);
   EXPECT_EQ(e.cwnd_after_exit, 10'000u);
@@ -45,8 +45,8 @@ TEST(Fig2, LinuxEndsRecoveryWithTinyWindowAndSlowStarts) {
   FigureRun run = run_figure_scenario(FigureScenario::fig2(
       RecoveryKind::kLinuxRateHalving));
   ASSERT_GE(run.recovery_log.count(), 1u);
-  const auto& e = run.recovery_log.events()[0];
-  EXPECT_TRUE(e.completed);
+  const auto& e = run.recovery_log.rows()[0];
+  EXPECT_TRUE(e.completed());
   // cwnd pinned to pipe+1 -> tiny exit window, far below ssthresh.
   EXPECT_LE(e.cwnd_after_exit, 3000u);
   EXPECT_TRUE(e.slow_start_after);
@@ -93,7 +93,7 @@ TEST(Fig3, PrrSwitchesToSlowStartPartUnderHeavyLoss) {
   EXPECT_EQ(run.metrics.retransmits_total, 10u);
   EXPECT_GT(run.all_acked_at.ms(), 0);
   ASSERT_GE(run.recovery_log.count(), 1u);
-  const auto& e = run.recovery_log.events()[0];
+  const auto& e = run.recovery_log.rows()[0];
   // At entry only part of the first loss cluster is marked (progressive
   // FACK marking); the second cluster drives pipe below ssthresh
   // mid-recovery.
@@ -110,7 +110,7 @@ TEST(Fig3, PrrSlowStartPartSendsUpToTwoPerAck) {
   // (banked allowance released, bounded by ssthresh - pipe), still far
   // from RFC 3517's arbitrary bursts.
   ASSERT_GE(run.recovery_log.count(), 1u);
-  EXPECT_LE(run.recovery_log.events()[0].max_burst_segments, 4u);
+  EXPECT_LE(run.recovery_log.rows()[0].max_burst_segments, 4u);
 }
 
 TEST(Fig3, PrrMaintainsAckClockingNoLargeBursts) {
@@ -122,8 +122,8 @@ TEST(Fig3, PrrMaintainsAckClockingNoLargeBursts) {
       RecoveryKind::kRfc3517));
   ASSERT_GE(prr.recovery_log.count(), 1u);
   ASSERT_GE(rfc.recovery_log.count(), 1u);
-  EXPECT_LT(prr.recovery_log.events()[0].max_burst_segments,
-            rfc.recovery_log.events()[0].max_burst_segments);
+  EXPECT_LT(prr.recovery_log.rows()[0].max_burst_segments,
+            rfc.recovery_log.rows()[0].max_burst_segments);
 }
 
 TEST(Fig4, PrrBanksSendingOpportunitiesAcrossAppStall) {
@@ -139,7 +139,7 @@ TEST(Fig4, PrrBanksSendingOpportunitiesAcrossAppStall) {
   EXPECT_GE(burst, 2);   // the bank is released as a small burst
   EXPECT_LE(burst, 21);  // bounded: not the whole window at once
   ASSERT_GE(run.recovery_log.count(), 1u);
-  EXPECT_GE(run.recovery_log.events()[0].max_burst_segments, 2u);
+  EXPECT_GE(run.recovery_log.rows()[0].max_burst_segments, 2u);
 }
 
 TEST(Fig4, SecondWriteDeliveredPromptlyDespiteStall) {

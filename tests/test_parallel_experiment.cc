@@ -41,14 +41,14 @@ void expect_identical(const ArmResult& serial, const ArmResult& par,
   EXPECT_EQ(serial.acks_checked, par.acks_checked);
   EXPECT_EQ(serial.invariant_violations, par.invariant_violations);
 
-  // Recovery log: same events in the same (connection-id) order.
-  const auto& se = serial.recovery_log.events();
-  const auto& pe = par.recovery_log.events();
+  // Episode table: same rows in the same (connection-id) order.
+  const auto& se = serial.recovery_log.rows();
+  const auto& pe = par.recovery_log.rows();
   ASSERT_EQ(se.size(), pe.size());
   for (std::size_t i = 0; i < se.size(); ++i) {
     SCOPED_TRACE("recovery event " + std::to_string(i));
-    EXPECT_EQ(se[i].start, pe[i].start);
-    EXPECT_EQ(se[i].end, pe[i].end);
+    EXPECT_EQ(se[i].start(), pe[i].start());
+    EXPECT_EQ(se[i].end(), pe[i].end());
     EXPECT_EQ(se[i].pipe_at_start, pe[i].pipe_at_start);
     EXPECT_EQ(se[i].ssthresh, pe[i].ssthresh);
     EXPECT_EQ(se[i].cwnd_at_start, pe[i].cwnd_at_start);
@@ -58,8 +58,8 @@ void expect_identical(const ArmResult& serial, const ArmResult& par,
     EXPECT_EQ(se[i].retransmits, pe[i].retransmits);
     EXPECT_EQ(se[i].bytes_sent_during, pe[i].bytes_sent_during);
     EXPECT_EQ(se[i].max_burst_segments, pe[i].max_burst_segments);
-    EXPECT_EQ(se[i].interrupted_by_timeout, pe[i].interrupted_by_timeout);
-    EXPECT_EQ(se[i].completed, pe[i].completed);
+    EXPECT_EQ(se[i].interrupted_by_timeout(), pe[i].interrupted_by_timeout());
+    EXPECT_EQ(se[i].completed(), pe[i].completed());
     EXPECT_EQ(se[i].slow_start_after, pe[i].slow_start_after);
   }
   // Aggregate views derived from the log.

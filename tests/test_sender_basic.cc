@@ -56,7 +56,7 @@ class SenderTest : public ::testing::Test {
 
   sim::Simulator sim;
   Metrics metrics;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };

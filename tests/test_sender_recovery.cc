@@ -77,7 +77,7 @@ class SenderRecoveryTest : public ::testing::Test {
 
   sim::Simulator sim;
   Metrics metrics;
-  stats::RecoveryLog rlog;
+  obs::EpisodeTable rlog;
   std::unique_ptr<Sender> sender;
   std::vector<Sent> wire;
 };
@@ -140,8 +140,8 @@ TEST_F(SenderRecoveryTest, PrrExitsAtSsthresh) {
   EXPECT_EQ(sender->state(), TcpState::kOpen);
   EXPECT_EQ(sender->cwnd_bytes(), sender->ssthresh_bytes());
   ASSERT_EQ(rlog.count(), 1u);
-  EXPECT_TRUE(rlog.events()[0].completed);
-  EXPECT_EQ(rlog.events()[0].cwnd_after_exit, sender->ssthresh_bytes());
+  EXPECT_TRUE(rlog.rows()[0].completed());
+  EXPECT_EQ(rlog.rows()[0].cwnd_after_exit, sender->ssthresh_bytes());
 }
 
 TEST_F(SenderRecoveryTest, LinuxExitsAtPipePlusOne) {
@@ -182,7 +182,7 @@ TEST_F(SenderRecoveryTest, Rfc3517EntryBurstRecordedInEventLog) {
   // Complete the recovery so the event is logged.
   sender->on_ack_segment(ack(20 * kMss));
   ASSERT_EQ(rlog.count(), 1u);
-  EXPECT_GE(rlog.events()[0].max_burst_segments, 4u);
+  EXPECT_GE(rlog.rows()[0].max_burst_segments, 4u);
 }
 
 TEST_F(SenderRecoveryTest, PrrSlowStartPartAvoidsBurst) {
@@ -206,7 +206,7 @@ TEST_F(SenderRecoveryTest, RecoveryEventRecordsPipeAndSsthresh) {
   }
   sender->on_ack_segment(ack(20 * kMss));
   ASSERT_EQ(rlog.count(), 1u);
-  const auto& e = rlog.events()[0];
+  const auto& e = rlog.rows()[0];
   EXPECT_EQ(e.ssthresh, 10 * kMss);
   // At entry: 20 in flight, 1 SACKed, holes marked lost.
   EXPECT_LT(e.pipe_at_start, 20 * kMss);
@@ -223,8 +223,8 @@ TEST_F(SenderRecoveryTest, TimeoutDuringRecoveryLogsInterruptedEvent) {
   sim.run(5_s);  // no more ACKs: RTO interrupts recovery
   EXPECT_EQ(metrics.timeouts_in_recovery, 1u);
   ASSERT_GE(rlog.count(), 1u);
-  EXPECT_TRUE(rlog.events()[0].interrupted_by_timeout);
-  EXPECT_FALSE(rlog.events()[0].completed);
+  EXPECT_TRUE(rlog.rows()[0].interrupted_by_timeout());
+  EXPECT_FALSE(rlog.rows()[0].completed());
 }
 
 TEST_F(SenderRecoveryTest, DsackUndoRevertsCongestionState) {

@@ -51,7 +51,7 @@ uint64_t fingerprint(const std::vector<exp::ArmResult>& results) {
     f.mix(m.timeouts_exp_backoff);
     f.mix(m.fast_recovery_events);
     f.mix(m.dsacks_received);
-    f.mix(m.recoveries_with_dsack);
+    f.mix(0);  // slot of a since-deleted counter that was always 0
     f.mix(m.lost_retransmits_detected);
     f.mix(m.lost_fast_retransmits);
     f.mix(m.undo_events);
@@ -71,10 +71,11 @@ uint64_t fingerprint(const std::vector<exp::ArmResult>& results) {
       f.mix(resp.had_retransmit ? 1 : 0);
       f.mix(resp.completed ? 1 : 0);
     }
-    // The full per-recovery-event sequence.
-    for (const auto& ev : r.recovery_log.events()) {
-      f.mix_time(ev.start);
-      f.mix_time(ev.end);
+    // The full sequence of finished recovery episodes.
+    for (const auto& ev : r.recovery_log.rows()) {
+      if (!ev.finished()) continue;
+      f.mix(static_cast<uint64_t>(ev.start_ns));
+      f.mix(static_cast<uint64_t>(ev.end_ns));
       f.mix(ev.pipe_at_start);
       f.mix(ev.ssthresh);
       f.mix(ev.cwnd_at_start);
@@ -84,8 +85,8 @@ uint64_t fingerprint(const std::vector<exp::ArmResult>& results) {
       f.mix(ev.retransmits);
       f.mix(ev.bytes_sent_during);
       f.mix(ev.max_burst_segments);
-      f.mix(ev.interrupted_by_timeout ? 1 : 0);
-      f.mix(ev.completed ? 1 : 0);
+      f.mix(ev.interrupted_by_timeout() ? 1 : 0);
+      f.mix(ev.completed() ? 1 : 0);
       f.mix(ev.slow_start_after ? 1 : 0);
     }
     f.mix_time(r.total_network_transmit_time);

@@ -69,7 +69,6 @@ TEST(StoreDeterminism, IndependentOfOtherObservability) {
 
   exp::RunOptions traced = base_opts();
   traced.trace = true;
-  traced.collect_episodes = true;
   EXPECT_EQ(store_bytes(traced, "traced.prrstore"), plain);
 
   exp::RunOptions bounded = base_opts();

@@ -118,8 +118,8 @@ uint64_t digest(const ArmResult& r) {
   mix(static_cast<uint64_t>(r.total_loss_recovery_time.ns()));
   mix(r.invariant_violations);
   mix(r.quarantined.size());
-  for (const auto& e : r.recovery_log.events()) {
-    mix(static_cast<uint64_t>(e.start.ns()));
+  for (const auto& e : r.recovery_log.rows()) {
+    mix(static_cast<uint64_t>(e.start().ns()));
     mix(e.cwnd_at_exit);
     mix(e.retransmits);
   }
@@ -154,7 +154,6 @@ TEST(StreamingFold, TraceOnOffInvariantAcrossThreads) {
   opts.threads = 1;
   const uint64_t serial = digest(run_arm(pop, ArmConfig::prr_arm(), opts));
   opts.trace = true;
-  opts.collect_episodes = true;
   for (int threads : {1, 4, 8}) {
     opts.threads = threads;
     EXPECT_EQ(serial, digest(run_arm(pop, ArmConfig::prr_arm(), opts)))
@@ -240,7 +239,7 @@ TEST(StreamingFold, BoundedStatsMatchUnboundedCounters) {
                    bounded.recovery_log.fraction_slow_start_after());
   // The memory contract: bounded mode keeps no per-sample vectors.
   EXPECT_TRUE(bounded.latency.responses().empty());
-  EXPECT_TRUE(bounded.recovery_log.events().empty());
+  EXPECT_TRUE(bounded.recovery_log.rows().empty());
   EXPECT_GT(full.latency.responses().size(), 0u);
 }
 

@@ -1,11 +1,11 @@
-// Trace capture/rendering and the stats aggregates (RecoveryLog,
-// LatencyTracker, Metrics arithmetic).
+// Trace capture/rendering and the stats aggregates (the episode table's
+// counters, LatencyTracker, Metrics arithmetic).
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "obs/episodes.h"
 #include "stats/latency.h"
-#include "stats/recovery_log.h"
 #include "tcp/metrics.h"
 #include "trace/timeseq.h"
 
@@ -70,45 +70,67 @@ TEST(TimeSeqTrace, AsciiRenderEmpty) {
 }
 
 TEST(RecoveryLogStats, SlowStartAfterFraction) {
-  stats::RecoveryLog log;
-  stats::RecoveryEvent e;
+  obs::EpisodeTable log;
+  obs::EpisodeSummary e;
   e.mss = 1000;
-  e.completed = true;
+  e.exit = obs::EpisodeExit::kCompleted;
   e.slow_start_after = true;
-  log.add(e);
+  log.fold(e);
   e.slow_start_after = false;
-  log.add(e);
-  e.completed = false;  // incomplete events excluded
+  log.fold(e);
+  e.exit = obs::EpisodeExit::kUndo;  // an undo completes the episode
+  log.fold(e);
   e.slow_start_after = true;
-  log.add(e);
-  EXPECT_DOUBLE_EQ(log.fraction_slow_start_after(), 0.5);
+  e.exit = obs::EpisodeExit::kRtoInterrupted;  // incomplete: excluded
+  log.fold(e);
+  e.exit = obs::EpisodeExit::kTruncated;  // unfinished: excluded
+  log.fold(e);
+  EXPECT_DOUBLE_EQ(log.fraction_slow_start_after(), 1.0 / 3.0);
+  EXPECT_EQ(log.count(), 4u);
+  EXPECT_EQ(log.total(), 5u);
 }
 
 TEST(RecoveryLogStats, TimeoutFraction) {
-  stats::RecoveryLog log;
-  stats::RecoveryEvent e;
+  obs::EpisodeTable log;
+  obs::EpisodeSummary e;
   e.mss = 1000;
-  e.interrupted_by_timeout = true;
-  log.add(e);
-  e.interrupted_by_timeout = false;
-  log.add(e);
-  log.add(e);
+  e.exit = obs::EpisodeExit::kRtoInterrupted;
+  log.fold(e);
+  e.exit = obs::EpisodeExit::kCompleted;
+  log.fold(e);
+  log.fold(e);
+  e.exit = obs::EpisodeExit::kTruncated;  // not in the denominator
+  log.fold(e);
   EXPECT_NEAR(log.fraction_with_timeout(), 1.0 / 3.0, 1e-9);
 }
 
 TEST(RecoveryLogStats, AppendMerges) {
-  stats::RecoveryLog a, b;
-  stats::RecoveryEvent e;
+  obs::EpisodeTable a, b;
+  obs::EpisodeSummary e;
   e.mss = 1000;
-  a.add(e);
-  b.add(e);
-  b.add(e);
-  a.append(b);
+  e.exit = obs::EpisodeExit::kCompleted;
+  e.bytes_sent_during = 100;
+  a.fold(e);
+  b.fold(e);
+  b.fold(e);
+  a.merge(b);
   EXPECT_EQ(a.count(), 3u);
+  EXPECT_EQ(a.rows().size(), 3u);
+  EXPECT_EQ(a.bytes_sent_during(), 300u);
+
+  // Bounded tables drop rows but merge every counter.
+  obs::EpisodeTable c;
+  c.set_bounded(true);
+  c.fold(e);
+  c.merge(b);
+  EXPECT_EQ(c.count(), 3u);
+  EXPECT_TRUE(c.rows().empty());
+  EXPECT_EQ(c.bytes_sent_during(), 300u);
+  EXPECT_EQ(c.to_json(), a.to_json());
 }
 
 TEST(RecoveryLogStats, SegmentViews) {
-  stats::RecoveryEvent e;
+  obs::EpisodeSummary e;
   e.mss = 1000;
   e.pipe_at_start = 15'000;
   e.ssthresh = 10'000;
